@@ -70,8 +70,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 		profile  = fs.String("profile", "schoolbook", "arithmetic profile: schoolbook (the paper's cost model), fast (subquadratic kernels), or both (grid JSON only: measure every cell under each)")
 		simulate = fs.Bool("simulate", runtime.NumCPU() == 1,
 			"simulate P virtual processors from the real task graph (for the times/speedups experiments on hosts with few cores; defaults to true on single-core hosts)")
-		parmul = fs.Bool("parmul", false,
-			"with -profile fast and real workers: split huge balanced products into scheduler panel tasks (bit-identical results; ignored under -simulate)")
 		traceOut   = fs.String("trace", "", "run one traced solve of the grid's largest cell and write Chrome trace-event JSON (chrome://tracing, Perfetto) to this file; prints a utilization summary and skips -exp")
 		jsonOut    = fs.String("json", "", "run the grid and write a machine-readable JSON report (schema "+harness.GridSchema+") to this file ('-' for stdout); skips -exp")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
@@ -113,7 +111,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 	}
 	cfg.Ctx = ctx
 	cfg.Simulate = *simulate
-	cfg.ParallelMul = *parmul
 	switch *profile {
 	case "both":
 		cfg.GridProfiles = []mp.Profile{mp.Schoolbook, mp.Fast}

@@ -51,14 +51,6 @@ type Options struct {
 	// with different profiles are race-free. Recorded operation counts
 	// and model bit costs are identical under both profiles.
 	Profile mp.Profile
-	// ParallelMul, with the Fast profile and Workers > 1, lets single
-	// huge balanced products (≳100k bits; see mp.MulParallelEngages) be
-	// split into panels submitted to the scheduler pool, so a giant
-	// remainder-sequence multiplication no longer serializes one worker.
-	// Results are bit-identical with or without it. Ignored under
-	// SimulateWorkers — virtual-time simulation measures each task body
-	// on one real worker, which panel parallelism would distort.
-	ParallelMul bool
 	// SimulateWorkers, when > 0, executes the task graph on one real
 	// worker while list-scheduling the measured task durations onto this
 	// many *virtual* processors (see sched.NewSimulatedPool). The
@@ -352,9 +344,6 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 			}
 		}()
 	}
-	if opts.ParallelMul && opts.Profile == mp.Fast && pool != nil && opts.SimulateWorkers == 0 {
-		mctx.Par = parMulSubmitter{pool}
-	}
 	if counters != nil && opts.MaxBitOps > 0 {
 		cancelPool := pool // nil on sequential runs: stop() polls instead
 		counters.SetBudget(opts.MaxBitOps, func() {
@@ -546,15 +535,6 @@ func solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts 
 	})
 	return werr
 }
-
-// parMulSubmitter adapts the scheduler pool to mp's Parallel hook,
-// tagging panel tasks so they are distinguishable on trace timelines
-// and in the flight recorder. Dropping tasks is safe: a canceled pool
-// drains its queue without executing, and the multiplication's claim
-// loop completes on the calling worker regardless.
-type parMulSubmitter struct{ pool *sched.Pool }
-
-func (s parMulSubmitter) Submit(task func()) { s.pool.SubmitTagged("parmul", task) }
 
 // taskTally counts executed tree-stage tasks per Fig. 3.2 kind.
 type taskTally struct {

@@ -14,7 +14,6 @@ import (
 	"realroots/internal/mp"
 	"realroots/internal/poly"
 	"realroots/internal/remseq"
-	"realroots/internal/sched"
 	"realroots/internal/tree"
 )
 
@@ -474,51 +473,5 @@ func TestQuickEndToEndDyadicRoots(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestParallelMulOption checks the ParallelMul plumbing: roots are
-// bit-identical with the option on and off (products this small never
-// engage the panel path, so this pins the fallback; the panel kernels
-// themselves are pinned in internal/mp), and the option is inert under
-// the schoolbook profile and simulation mode.
-func TestParallelMulOption(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	roots := distinctRoots(r, 12, 80)
-	p := poly.FromRoots(roots...)
-	base, err := FindRoots(p, Options{Mu: 24, Profile: mp.Fast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []Options{
-		{Mu: 24, Profile: mp.Fast, Workers: 4, ParallelMul: true},
-		{Mu: 24, Profile: mp.Schoolbook, Workers: 4, ParallelMul: true},
-		{Mu: 24, Profile: mp.Fast, SimulateWorkers: 4, ParallelMul: true},
-	} {
-		res, err := FindRoots(p, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if len(res.Roots) != len(base.Roots) {
-			t.Fatalf("%+v: %d roots vs %d", opts, len(res.Roots), len(base.Roots))
-		}
-		for i := range res.Roots {
-			if !res.Roots[i].Equal(base.Roots[i]) {
-				t.Fatalf("%+v root %d: %v vs %v", opts, i, res.Roots[i], base.Roots[i])
-			}
-		}
-	}
-}
-
-// TestParMulSubmitterTag pins the adapter's scheduler tag: panel tasks
-// must be visible as "parmul" on trace timelines.
-func TestParMulSubmitterTag(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	done := make(chan struct{})
-	parMulSubmitter{pool}.Submit(func() { close(done) })
-	<-done
-	if got := pool.Stats().Executed; got != 1 {
-		t.Fatalf("executed = %d, want 1", got)
 	}
 }

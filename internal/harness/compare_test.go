@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -137,5 +139,29 @@ func TestPctChangeZeroBaselines(t *testing.T) {
 	}
 	if got := pctChange(10, 5); got != -50 {
 		t.Fatalf("pctChange(10,5) = %v, want -50", got)
+	}
+}
+
+// TestCommittedSnapshotsDecode loads every committed bench-grid
+// snapshot through the -compare loader (which runs ValidateGridJSON
+// first), so a schema or decoder change that strands a snapshot (say,
+// a tier name it no longer knows) fails here rather than only in the
+// CI gates that read the files.
+func TestCommittedSnapshotsDecode(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "results", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no results/BENCH_*.json snapshots found")
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadGridJSON(data); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
 	}
 }

@@ -53,12 +53,6 @@ type Config struct {
 	// golden outputs assume). The abl2 ablation ignores it and compares
 	// both profiles directly.
 	Profile mp.Profile
-	// ParallelMul offers the solver's huge balanced products to the
-	// scheduler as panel tasks (core.Options.ParallelMul). Only
-	// meaningful with the fast profile and real workers; the solver
-	// ignores it under simulation or schoolbook arithmetic, and results
-	// are bit-identical either way.
-	ParallelMul bool
 	// GridProfiles, when non-empty, makes the JSON grid experiment
 	// (RunGrid) measure every cell once per listed profile, tagging each
 	// cell with the profile name. Empty means just Profile.

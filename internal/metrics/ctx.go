@@ -20,19 +20,17 @@ type Ctx struct {
 	C       *Counters
 	Phase   Phase
 	Profile mp.Profile
-	// Par, when non-nil, is the scheduler hook offered huge balanced
-	// products (the mp parallel multiplication path). Like Profile it is
-	// per-operation state, never a package global; a nil Par keeps every
-	// product serial. Results are bit-identical either way.
-	Par mp.Parallel
 }
 
 // In returns a copy of the context attributed to phase p.
-func (c Ctx) In(p Phase) Ctx { return Ctx{C: c.C, Phase: p, Profile: c.Profile, Par: c.Par} }
+func (c Ctx) In(p Phase) Ctx {
+	c.Phase = p
+	return c
+}
 
 // recordMul logs one multiplication with its model and actual cost,
 // plus — under Fast, the only profile with more than one kernel — the
-// tier it dispatches to and whether the parallel path engages.
+// tier it dispatches to.
 func (c Ctx) recordMul(xbits, ybits int) {
 	if c.C == nil {
 		return
@@ -40,9 +38,6 @@ func (c Ctx) recordMul(xbits, ybits int) {
 	c.C.AddMulCost(c.Phase, xbits, ybits, c.Profile.MulCost(xbits, ybits))
 	if c.Profile == mp.Fast {
 		c.C.AddMulTier(c.Phase, c.Profile.MulTier(xbits, ybits))
-		if c.Par != nil && c.Profile.MulParallelEngages(xbits, ybits) {
-			c.C.AddParMul(c.Phase)
-		}
 	}
 }
 
@@ -57,18 +52,12 @@ func (c Ctx) recordDiv(xbits, ybits int) {
 // Mul returns a new Int holding x*y, recording the multiplication.
 func (c Ctx) Mul(x, y *mp.Int) *mp.Int {
 	c.recordMul(x.BitLen(), y.BitLen())
-	if c.Par != nil {
-		return new(mp.Int).MulParallelProfile(c.Profile, c.Par, x, y)
-	}
 	return new(mp.Int).MulProfile(c.Profile, x, y)
 }
 
 // MulInto sets z = x*y, recording the multiplication.
 func (c Ctx) MulInto(z, x, y *mp.Int) *mp.Int {
 	c.recordMul(x.BitLen(), y.BitLen())
-	if c.Par != nil {
-		return z.MulParallelProfile(c.Profile, c.Par, x, y)
-	}
 	return z.MulProfile(c.Profile, x, y)
 }
 
@@ -76,9 +65,6 @@ func (c Ctx) MulInto(z, x, y *mp.Int) *mp.Int {
 func (c Ctx) Sqr(x *mp.Int) *mp.Int {
 	b := x.BitLen()
 	c.recordMul(b, b)
-	if c.Par != nil && c.Profile.MulParallelEngages(b, b) {
-		return new(mp.Int).MulParallelProfile(c.Profile, c.Par, x, x)
-	}
 	return new(mp.Int).SqrProfile(c.Profile, x)
 }
 

@@ -28,11 +28,10 @@ type phaseJSON struct {
 	MulBitsActual int64   `json:"mulBitsActual,omitempty"`
 	DivBitsActual int64   `json:"divBitsActual,omitempty"`
 	BitLen        []int64 `json:"bitlenHist,omitempty"`
-	// Tiers maps kernel-tier names to multiplication counts and ParMuls
-	// counts parallel-path products; both are omitted when zero (every
-	// schoolbook-profile report, and every pre-tier snapshot).
-	Tiers   map[string]int64 `json:"tiers,omitempty"`
-	ParMuls int64            `json:"parMuls,omitempty"`
+	// Tiers maps kernel-tier names to multiplication counts; omitted
+	// when zero (every schoolbook-profile report, and every pre-tier
+	// snapshot).
+	Tiers map[string]int64 `json:"tiers,omitempty"`
 }
 
 func (p PhaseReport) toJSON() phaseJSON {
@@ -67,7 +66,6 @@ func (p PhaseReport) toJSON() phaseJSON {
 			j.Tiers[mp.Tier(t).String()] = n
 		}
 	}
-	j.ParMuls = p.ParMuls
 	return j
 }
 
@@ -110,7 +108,6 @@ func (j phaseJSON) toReport() (PhaseReport, error) {
 		}
 		p.Tiers[t] = n
 	}
-	p.ParMuls = j.ParMuls
 	return p, nil
 }
 

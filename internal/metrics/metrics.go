@@ -118,13 +118,11 @@ type Counters struct {
 	hist [NumPhases][BitLenBuckets]atomic.Int64
 
 	// tiers counts multiplications by the kernel tier they dispatched
-	// to (mp.Profile.MulTier), and parMuls counts products that took
-	// the parallel panel path. Both are recorded only under the Fast
+	// to (mp.Profile.MulTier). It is recorded only under the Fast
 	// profile — schoolbook runs have a single implicit tier, and
-	// leaving them untouched keeps paper-mode reports byte-identical
-	// to pre-tier snapshots.
-	tiers   [NumPhases][mp.NumTiers]atomic.Int64
-	parMuls [NumPhases]atomic.Int64
+	// leaving it untouched keeps paper-mode reports byte-identical to
+	// pre-tier snapshots.
+	tiers [NumPhases][mp.NumTiers]atomic.Int64
 
 	// Budget enforcement (see SetBudget): bitOps aggregates
 	// mulBits+divBits across all phases so the limit check is one
@@ -240,15 +238,6 @@ func (c *Counters) AddMulTier(p Phase, t mp.Tier) {
 	c.tiers[p][t].Add(1)
 }
 
-// AddParMul records that one multiplication in phase p took the
-// parallel panel path.
-func (c *Counters) AddParMul(p Phase) {
-	if c == nil {
-		return
-	}
-	c.parMuls[p].Add(1)
-}
-
 // AddAdd records one addition or subtraction in phase p.
 func (c *Counters) AddAdd(p Phase) {
 	if c == nil {
@@ -286,7 +275,6 @@ func (c *Counters) Reset() {
 		for t := 0; t < mp.NumTiers; t++ {
 			c.tiers[p][t].Store(0)
 		}
-		c.parMuls[p].Store(0)
 	}
 	c.bitOps.Store(0)
 	c.tripped.Store(false)
@@ -312,11 +300,9 @@ type PhaseReport struct {
 	// operations whose larger operand's bit length falls in
 	// BucketRange(b).
 	BitLen [BitLenBuckets]int64
-	// Tiers counts the phase's multiplications by dispatch tier and
-	// ParMuls the products that took the parallel panel path; both are
-	// zero outside the Fast profile (see Counters.tiers).
-	Tiers   [mp.NumTiers]int64
-	ParMuls int64
+	// Tiers counts the phase's multiplications by dispatch tier; zero
+	// outside the Fast profile (see Counters.tiers).
+	Tiers [mp.NumTiers]int64
 }
 
 // Ops returns the phase's combined multiplication + division count
@@ -351,7 +337,6 @@ func (c *Counters) Snapshot() Report {
 		for t := 0; t < mp.NumTiers; t++ {
 			pr.Tiers[t] = c.tiers[p][t].Load()
 		}
-		pr.ParMuls = c.parMuls[p].Load()
 		r.Phases[p] = pr
 	}
 	return r
@@ -373,7 +358,6 @@ func (t *PhaseReport) accum(p PhaseReport) {
 	for i := 0; i < mp.NumTiers; i++ {
 		t.Tiers[i] += p.Tiers[i]
 	}
-	t.ParMuls += p.ParMuls
 }
 
 // Total returns the sum of all phases' counters.
@@ -444,7 +428,6 @@ func (r Report) Sub(old Report) Report {
 		for t := 0; t < mp.NumTiers; t++ {
 			pr.Tiers[t] = a.Tiers[t] - b.Tiers[t]
 		}
-		pr.ParMuls = a.ParMuls - b.ParMuls
 		d.Phases[p] = pr
 	}
 	return d

@@ -270,9 +270,6 @@ func TestTierRecording(t *testing.T) {
 	if got := tr.Tiers[mp.TierSchoolbook]; got != 1 {
 		t.Errorf("schoolbook tier count = %d, want 1 (tiers %v)", got, tr.Tiers)
 	}
-	if tr.ParMuls != 0 {
-		t.Errorf("ParMuls = %d without a Par hook", tr.ParMuls)
-	}
 
 	// Schoolbook profile records no tiers at all.
 	var s Counters
@@ -296,10 +293,9 @@ func TestTierRecording(t *testing.T) {
 // name under Fast, are absent from schoolbook reports, and round-trip.
 func TestTierJSONRoundTrip(t *testing.T) {
 	var c Counters
-	c.AddMulTier(PhaseTree, mp.TierToom3)
-	c.AddMulTier(PhaseTree, mp.TierToom3)
-	c.AddMulTier(PhaseTree, mp.TierNTT)
-	c.AddParMul(PhaseTree)
+	c.AddMulTier(PhaseTree, mp.TierKaratsuba)
+	c.AddMulTier(PhaseTree, mp.TierKaratsuba)
+	c.AddMulTier(PhaseTree, mp.TierPacked)
 	c.AddMul(PhaseTree, 8, 8)
 	rep := c.Snapshot()
 
@@ -307,7 +303,7 @@ func TestTierJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"tiers":{`) || !strings.Contains(string(data), `"toom3":2`) {
+	if !strings.Contains(string(data), `"tiers":{`) || !strings.Contains(string(data), `"karatsuba":2`) {
 		t.Errorf("tier counts missing from JSON: %s", data)
 	}
 	var back Report
@@ -316,9 +312,6 @@ func TestTierJSONRoundTrip(t *testing.T) {
 	}
 	if back.Phases[PhaseTree].Tiers != rep.Phases[PhaseTree].Tiers {
 		t.Errorf("round trip tiers = %v, want %v", back.Phases[PhaseTree].Tiers, rep.Phases[PhaseTree].Tiers)
-	}
-	if back.Phases[PhaseTree].ParMuls != 1 {
-		t.Errorf("round trip parMuls = %d, want 1", back.Phases[PhaseTree].ParMuls)
 	}
 
 	// A tier-free report must not mention tiers at all (old readers and
@@ -329,7 +322,7 @@ func TestTierJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(plain), "tiers") || strings.Contains(string(plain), "parMuls") {
+	if strings.Contains(string(plain), "tiers") {
 		t.Errorf("tier-free report leaks tier fields: %s", plain)
 	}
 	if err := json.Unmarshal(plain, &back); err != nil {

@@ -168,76 +168,6 @@ func FuzzFastGCDVsBig(f *testing.F) {
 	})
 }
 
-// pack64 builds a packed 64-bit operand from a stretched fuzz pattern.
-func pack64(b []byte, rep uint16) []uint64 {
-	return natTo64(new(Int).SetBig(new(big.Int).SetBytes(stretch(b, rep))).abs)
-}
-
-// FuzzToom3VsBig cross-checks the Toom-3 kernel directly against
-// math/big. Direct calls mean the operands need not reach
-// toom64Threshold, so the fuzzer explores the interpolation's
-// sign/carry paths at every size the splitter accepts.
-func FuzzToom3VsBig(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{0xff, 0xfe}, uint16(40), uint16(40))
-	f.Add([]byte{0xff}, []byte{0xff}, uint16(48), uint16(24))
-	f.Add([]byte{7, 0, 0, 0, 1}, []byte{9, 0, 9}, uint16(30), uint16(17))
-	f.Fuzz(func(t *testing.T, xb, yb []byte, xrep, yrep uint16) {
-		if len(xb) > 64 || len(yb) > 64 {
-			return
-		}
-		x, y := pack64(xb, xrep), pack64(yb, yrep)
-		if len(x) < len(y) {
-			x, y = y, x
-		}
-		if len(y) == 0 {
-			return
-		}
-		checkMul64(t, "fuzz/toom3", toom3Mul64(x, y, fastTiers), x, y)
-	})
-}
-
-// FuzzNTTVsBig cross-checks the three-prime NTT kernel directly against
-// math/big: the CRT reconstruction and digit accumulation must be exact
-// for every digit pattern, not just random ones.
-func FuzzNTTVsBig(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{0xff, 0xfe}, uint16(40), uint16(40))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{0xff, 0xff, 0xff, 0xff}, uint16(47), uint16(47))
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, []byte{1}, uint16(20), uint16(1))
-	f.Fuzz(func(t *testing.T, xb, yb []byte, xrep, yrep uint16) {
-		if len(xb) > 64 || len(yb) > 64 {
-			return
-		}
-		x, y := pack64(xb, xrep), pack64(yb, yrep)
-		z := nttMul64(x, y, fastTiers)
-		if z == nil {
-			t.Fatalf("ntt refused a %d×%d-limb product far below its size cap", len(x), len(y))
-		}
-		checkMul64(t, "fuzz/ntt", z, x, y)
-	})
-}
-
-// FuzzParMulVsBig cross-checks the parallel multiplication path against
-// math/big under varying worker counts, including a scheduler that
-// drops every task.
-func FuzzParMulVsBig(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{0xff, 0xfe}, uint16(40), uint16(40), uint8(2))
-	f.Add([]byte{0xff}, []byte{0xf0, 0x0f}, uint16(48), uint16(31), uint8(0))
-	f.Add([]byte{5, 5, 5, 5}, []byte{6}, uint16(33), uint16(1), uint8(3))
-	f.Fuzz(func(t *testing.T, xb, yb []byte, xrep, yrep uint16, workers uint8) {
-		if len(xb) > 64 || len(yb) > 64 {
-			return
-		}
-		x, y := pack64(xb, xrep), pack64(yb, yrep)
-		var pool Parallel = dropPool{}
-		if w := int(workers % 4); w > 0 {
-			cp := newChanPool(w)
-			defer cp.Close()
-			pool = cp
-		}
-		checkMul64(t, "fuzz/parmul", parMul64(x, y, pool, fastTiers), x, y)
-	})
-}
-
 func FuzzAddSubInverse(f *testing.F) {
 	f.Add([]byte{1}, []byte{2}, false, true)
 	f.Fuzz(func(t *testing.T, xb, yb []byte, xneg, yneg bool) {

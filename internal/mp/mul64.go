@@ -124,10 +124,10 @@ func mul64(x, y []uint64) []uint64 { return mul64t(x, y, fastTiers) }
 // mul64t multiplies packed operands, dispatching on the tier table:
 // block decomposition for unbalanced shapes (the same structure as
 // natMulFast, one word size up), then — by the shorter operand's size —
-// the schoolbook row loop, Karatsuba, Toom-3, or the three-prime NTT.
-// Threading the table as a parameter keeps tier selection a pure
-// function of the call (benchmarks compare tables directly; no package
-// state), and recursive products re-tier on their own, smaller sizes.
+// the schoolbook row loop or Karatsuba. Threading the table as a
+// parameter keeps tier selection a pure function of the call (tests
+// swap in a counting table; no package state), and recursive products
+// re-tier on their own, smaller sizes.
 func mul64t(x, y []uint64, tab tierTable) []uint64 {
 	if len(x) < len(y) {
 		x, y = y, x
@@ -154,18 +154,6 @@ func mul64t(x, y []uint64, tab tierTable) []uint64 {
 		}
 		return norm64(z)
 	}
-	if tab.ntt > 0 && len(y) >= tab.ntt && nttWorthwhile(len(x), len(y)) {
-		if z := nttMul64(x, y, tab); z != nil {
-			return z
-		}
-	}
-	// Toom-3 splits by the longer operand, so a near-2× shape leaves
-	// the shorter one's top part almost empty and wastes an evaluation;
-	// require ≤4:3 imbalance and leave the rest to Karatsuba.
-	if tab.toom3 > 0 && len(y) >= tab.toom3 && 3*len(x) <= 4*len(y) {
-		return toom3Mul64(x, y, tab)
-	}
-
 	z := make([]uint64, len(x)+len(y))
 	m := (len(x) + 1) / 2
 	x0 := norm64(x[:m])

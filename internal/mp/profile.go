@@ -53,26 +53,22 @@ func ParseProfile(s string) (Profile, error) {
 	return 0, fmt.Errorf("mp: unknown profile %q (want schoolbook, paper, or fast)", s)
 }
 
-// A tierTable holds the shorter-operand crossover thresholds, in
-// 64-bit packed limbs, at which each multiplication tier engages. A
-// zero threshold disables that tier. Tables are immutable
-// configuration threaded through the kernels as a parameter — tier
-// selection is a pure function of the call, never package state.
+// A tierTable holds the shorter-operand crossover threshold, in 64-bit
+// packed limbs, at which Karatsuba takes over from the row loop (it
+// must be at least 2). Tables are immutable configuration threaded
+// through the kernels as a parameter — tier selection is a pure
+// function of the call, never package state.
 type tierTable struct {
-	kar   int // Karatsuba at len ≥ kar, schoolbook row loop below
-	toom3 int // Toom-3 at len ≥ toom3
-	ntt   int // three-prime NTT at len ≥ ntt
+	kar int // Karatsuba at len ≥ kar, schoolbook row loop below
 
 	// count, when non-nil, accumulates the 64-bit limb products the
-	// kernels perform (base-case rows exactly, NTT butterflies by their
-	// closed form). Tests pin MulCost against it; nil — and unused — on
-	// every non-test path.
+	// base-case row loops perform. Tests pin MulCost against it; nil —
+	// and unused — on every non-test path.
 	count *int64
 }
 
-// fastTiers is the Fast profile's tier table. The thresholds are
-// measured crossovers from BenchmarkMulCrossover (DESIGN.md §12).
-var fastTiers = tierTable{kar: kar64Threshold, toom3: toom64Threshold, ntt: ntt64Threshold}
+// fastTiers is the Fast profile's tier table (DESIGN.md §12).
+var fastTiers = tierTable{kar: kar64Threshold}
 
 // A Tier names the multiplication kernel a product of a given shape
 // dispatches to, for per-tier metrics attribution.
@@ -86,10 +82,6 @@ const (
 	TierPacked
 	// TierKaratsuba is block-decomposed Karatsuba on packed limbs.
 	TierKaratsuba
-	// TierToom3 is the 5-point Toom-3 scheme.
-	TierToom3
-	// TierNTT is the three-prime CRT number-theoretic transform.
-	TierNTT
 
 	NumTiers int = iota // sentinel: number of defined tiers
 )
@@ -103,10 +95,6 @@ func (t Tier) String() string {
 		return "packed"
 	case TierKaratsuba:
 		return "karatsuba"
-	case TierToom3:
-		return "toom3"
-	case TierNTT:
-		return "ntt"
 	}
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
@@ -124,14 +112,8 @@ func (p Profile) MulTier(xbits, ybits int) Tier {
 	if lb < fastPackThreshold {
 		return TierSchoolbook
 	}
-	ly := (lb + 1) / 2 // packed limbs
-	switch {
-	case ly < fastTiers.kar:
+	if ly := (lb + 1) / 2; ly < fastTiers.kar { // packed limbs
 		return TierPacked
-	case fastTiers.ntt > 0 && ly >= fastTiers.ntt && nttWorthwhile(ly, ly):
-		return TierNTT
-	case fastTiers.toom3 > 0 && ly >= fastTiers.toom3:
-		return TierToom3
 	}
 	return TierKaratsuba
 }
@@ -155,12 +137,11 @@ func (p Profile) div(u, v nat) (q, r nat) {
 // MulCost estimates the cost of multiplying xbits-by-ybits operands
 // under the profile, in the paper's bit-operation unit (schoolbook cost
 // = xbits·ybits). For Fast it mirrors mul64t's dispatch — block
-// decomposition for unbalanced shapes, then the Karatsuba/Toom-3/NTT
-// recursion the tier table selects — collapsed to a closed O(log n)
-// walk. It is an estimate of work actually done, used by the metrics
-// layer to report model vs actual cost side by side; the solver's
-// bit-operation budget always charges the model cost, so this never
-// affects results.
+// decomposition for unbalanced shapes, then the Karatsuba recursion —
+// collapsed to a closed O(log n) walk. It is an estimate of work
+// actually done, used by the metrics layer to report model vs actual
+// cost side by side; the solver's bit-operation budget always charges
+// the model cost, so this never affects results.
 //
 // Two former bugs are pinned by TestMulCostPinnedToKernel: the old
 // closed form halved the recursion size with integer truncation
@@ -213,45 +194,17 @@ func mulCost64(lx, ly int, tab tierTable) float64 {
 	return balMulCost64((lx+ly+1)/2, tab)
 }
 
-// balMulCost64 collapses the balanced recursion tier by tier: Karatsuba
-// contributes a ×3 branching factor on ceil(n/2) halves (matching the
-// kernel's m = (n+1)/2 split, not a truncating n/2), Toom-3 a ×5 factor
-// on ceil(n/3)+1 parts (the evaluations at 1, −1, 2 are one limb wider
-// than the parts), and the NTT terminates the walk with its analytic
-// butterfly count.
+// balMulCost64 collapses the balanced Karatsuba recursion: a ×3
+// branching factor per level on ceil(n/2) halves (matching the
+// kernel's m = (n+1)/2 split, not a truncating n/2) down to the
+// schoolbook base case.
 func balMulCost64(n int, tab tierTable) float64 {
 	mult := 1.0
-	for {
-		switch {
-		case n < tab.kar:
-			return mult * float64(n) * float64(n)
-		case tab.ntt > 0 && n >= tab.ntt && nttWorthwhile(n, n):
-			return mult * nttCost64(n)
-		case tab.toom3 > 0 && n >= tab.toom3:
-			mult *= 5
-			n = (n+2)/3 + 1
-		default:
-			mult *= 3
-			n = (n + 1) / 2
-		}
+	for n >= tab.kar {
+		mult *= 3
+		n = (n + 1) / 2
 	}
-}
-
-// nttCostScale converts one Montgomery butterfly product to 64-bit
-// limb-product units. Calibrated against BenchmarkMulCrossover so the
-// model's Toom-3→NTT crossover tracks the measured one.
-const nttCostScale = 1.0
-
-// nttCost64 is the analytic cost of a balanced n×n-limb NTT product:
-// three primes × (three transforms of (L/2)·log₂L butterflies, plus
-// pointwise, scaling and twiddle-table passes of ~4L together).
-func nttCost64(n int) float64 {
-	logL := 1
-	for 1<<logL < 4*n {
-		logL++
-	}
-	L := float64(uint64(1) << logL)
-	return nttCostScale * (9*(L/2)*float64(logL) + 12*L)
+	return mult * float64(n) * float64(n)
 }
 
 // DivCost estimates the cost of dividing an xbits dividend by a ybits

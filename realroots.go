@@ -155,13 +155,6 @@ type Options struct {
 	// or ProfileFast. Roots and recorded operation counts are identical
 	// under every profile.
 	Profile Profile
-	// ParallelMul, with ProfileFast and Workers > 1, additionally lets a
-	// single huge multiplication (≳100k-bit operands, reached around
-	// degree 100 at 64-bit precision) be split into panels the worker
-	// pool computes concurrently, instead of serializing one worker.
-	// Roots are bit-identical with or without it; ignored under other
-	// profiles or worker counts.
-	ParallelMul bool
 	// Timeout, if positive, bounds the run's wall time. An expired
 	// timeout aborts the run with ErrDeadline and a partial Result
 	// (stats only, no roots). Context-taking entry points compose it
@@ -229,7 +222,6 @@ func (o *Options) coreOptions() core.Options {
 		opts.Mu = o.Precision
 	}
 	opts.Workers = o.Workers
-	opts.ParallelMul = o.ParallelMul
 	opts.SequentialPrecompute = o.SequentialPrecompute
 	opts.MaxBitOps = o.MaxBitOps
 	opts.Tracer = o.Tracer
