@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,14 +92,12 @@ type Options struct {
 	// When no Counters are supplied, internal ones are allocated to
 	// meter the budget.
 	MaxBitOps int64
-	// TaskHook, if non-nil, is installed on the scheduler pool
-	// (sched.Pool.SetTaskHook) — the fault-injection point used by
-	// internal/faultinject. Parallel and simulated runs only.
-	TaskHook func(seq int64)
-	// OnPhase, if non-nil, is called once per pipeline phase as it
-	// begins ("precompute", "tree", "interval") — a test hook for
-	// exercising cancellation at exact phase boundaries.
-	OnPhase func(phase string)
+	// Observer, if non-nil, subscribes to the run's instrumentation
+	// stream (phases, and tasks on pool workers or, in sequential
+	// runs, on sched.ControlLane) after Tracer and Telemetry — rootd's
+	// request tracker and internal/faultinject plans. A panic from a
+	// pool task's TaskStart is isolated like a task panic.
+	Observer sched.Observer
 	// RequestID, if non-empty, names the external request this run
 	// serves (rootd's X-Request-Id). It is stamped on every telemetry
 	// sink the run touches — slog records, flight-recorder events,
@@ -202,10 +199,15 @@ func FindRoots(p *poly.Poly, opts Options) (*Result, error) {
 
 // FindRootsWithMultiplicity computes every distinct real root of p
 // together with its multiplicity, by solving each factor of p's Yun
-// squarefree decomposition separately and merging.
-func FindRootsWithMultiplicity(p *poly.Poly, opts Options) ([]RootMult, error) {
+// squarefree decomposition separately and merging. The returned Stats
+// sum the factor solves' stage times and task counts, with Total the
+// wall time of the whole call; when a factor's solve is cut short (see
+// IsResilience) they cover the work done so far.
+func FindRootsWithMultiplicity(p *poly.Poly, opts Options) ([]RootMult, Stats, error) {
+	start := time.Now()
+	var stats Stats
 	if p.Degree() < 1 {
-		return nil, fmt.Errorf("core: polynomial of degree %d has no roots", p.Degree())
+		return nil, stats, fmt.Errorf("core: polynomial of degree %d has no roots", p.Degree())
 	}
 	factors := poly.Yun(p)
 	var out []RootMult
@@ -214,8 +216,14 @@ func FindRootsWithMultiplicity(p *poly.Poly, opts Options) ([]RootMult, error) {
 			continue
 		}
 		r, err := FindRoots(u, opts)
+		if r != nil {
+			stats.Precompute += r.Stats.Precompute
+			stats.TreeSolve += r.Stats.TreeSolve
+			stats.Tasks += r.Stats.Tasks
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: multiplicity-%d factor: %w", k+1, err)
+			stats.Total = time.Since(start)
+			return nil, stats, fmt.Errorf("core: multiplicity-%d factor: %w", k+1, err)
 		}
 		for _, root := range r.Roots {
 			out = append(out, RootMult{Root: root, Mult: k + 1})
@@ -228,7 +236,8 @@ func FindRootsWithMultiplicity(p *poly.Poly, opts Options) ([]RootMult, error) {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out, nil
+	stats.Total = time.Since(start)
+	return out, stats, nil
 }
 
 // findRootsSquarefree instruments one squarefree solve: it opens a
@@ -254,7 +263,7 @@ func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
 	if counters == nil && (opts.MaxBitOps > 0 || run != nil) {
 		counters = &metrics.Counters{} // budget metering and telemetry need a sink
 	}
-	res, err := findRootsPipeline(p, opts, counters, run)
+	res, err := findRootsPipeline(p, opts, counters, run, Subscribers(opts.Tracer, run, opts.Observer))
 	if run != nil {
 		// Summarize sorts every lane's intervals; with always-on
 		// serving-path tracing this runs on every solve, so skip the
@@ -272,23 +281,27 @@ func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
 	return res, err
 }
 
-func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, run *telemetry.Run) (*Result, error) {
-	mctx := metrics.Ctx{C: counters, Profile: opts.Profile}
-	n := p.Degree()
-
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+// Subscribers fans a run's stream out to its present sinks; with none
+// it is nil, which delivers nothing and allocates nothing. other goes
+// last, so a fault plan in it panics after the others opened the task.
+func Subscribers(tr *trace.Tracer, run *telemetry.Run, other sched.Observer) sched.Observers {
+	var obs sched.Observers
+	if tr != nil {
+		obs = append(obs, tr)
 	}
-	onPhase := opts.OnPhase
-	if onPhase == nil {
-		onPhase = func(string) {}
+	if run != nil {
+		obs = append(obs, run)
 	}
+	if other != nil {
+		obs = append(obs, other)
+	}
+	return obs
+}
 
-	// stop is the sequential-path checkpoint, polled per remainder
-	// iteration, per tree node, and per interval problem. The parallel
-	// path enforces the same conditions through pool cancellation.
-	stop := func() error {
+// Checkpoint returns a run's stop poll: ErrCanceled or ErrDeadline once
+// ctx is done, ErrBudgetExceeded once counters trip their budget.
+func Checkpoint(ctx context.Context, counters *metrics.Counters) func() error {
+	return func() error {
 		select {
 		case <-ctx.Done():
 			return ctxErr(ctx.Err())
@@ -299,6 +312,26 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 		}
 		return nil
 	}
+}
+
+// emit raises one event on the control lane of a run's stream.
+func emit(obs sched.Observers, kind sched.EventKind, name string) {
+	obs.Observe(sched.Event{Kind: kind, Name: name, Worker: sched.ControlLane})
+}
+
+func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, run *telemetry.Run, obs sched.Observers) (*Result, error) {
+	mctx := metrics.Ctx{C: counters, Profile: opts.Profile}
+	n := p.Degree()
+
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+
+	// stop is the sequential-path checkpoint, polled per remainder
+	// iteration, per tree node, and per interval problem. The parallel
+	// path enforces the same conditions through pool cancellation.
+	stop := Checkpoint(ctx, counters)
 
 	var pool *sched.Pool
 	switch {
@@ -311,26 +344,14 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 		if run != nil {
 			// Registered before the Close defer so it runs after it
 			// (LIFO): the stats snapshot then covers the full drain.
-			defer func() {
-				s := pool.Stats()
-				run.SchedStats(telemetry.SchedStats{
-					Executed:      s.Executed,
-					Panics:        s.Panics,
-					Retries:       s.Retries,
-					MaxQueueDepth: int64(s.MaxQueueDepth),
-				})
-			}()
+			defer func() { run.SchedStats(pool.Stats()) }()
 		}
 		defer pool.Close()
-		if opts.TaskHook != nil {
-			pool.SetTaskHook(opts.TaskHook)
+		if obs != nil {
+			pool.SetObserver(obs)
 		}
-		pool.SetTracer(opts.Tracer)
 		if opts.RequestID != "" {
 			pool.SetLabel(opts.RequestID)
-		}
-		if run != nil {
-			pool.SetObserver(run)
 		}
 		// Forward context cancellation to the pool; the watchdog exits
 		// when the run finishes.
@@ -372,44 +393,34 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 		return partial(err)
 	}
 
-	// Control lane: pipeline phase spans recorded by the orchestrating
-	// goroutine. Nil-safe — a nil Tracer makes every call below a no-op.
-	ctl := opts.Tracer.Lane(trace.ControlLane, "control")
-
-	// Degree-1 short-circuit: nothing to precompute.
+	// Degree-1 short-circuit: nothing to precompute; the one interval
+	// problem is the whole tree stage.
 	if n == 1 {
+		t1 := time.Now()
 		bound := p.RootBound()
-		ctl.Begin("interval", trace.CatTask)
+		emit(obs, sched.TaskStart, "interval")
 		s := interval.NewSolver(p, nil, bound, opts.Mu, opts.Method, mctx)
 		roots := s.SolveAll()
-		ctl.End()
-		return &Result{Roots: roots, NStar: 1}, nil
+		emit(obs, sched.TaskDone, "interval")
+		return &Result{Roots: roots, NStar: 1, Stats: Stats{TreeSolve: time.Since(t1)}}, nil
 	}
 
 	// Stage 1: remainder and quotient sequences.
-	onPhase("precompute")
-	run.PhaseBegin("remainder")
-	ctl.Begin("remainder", trace.CatPhase)
+	emit(obs, sched.PhaseBegin, "remainder")
 	t0 := time.Now()
 	seqOpts := remseq.Options{Ctx: mctx, Grain: opts.Grain, Stop: stop}
 	if pool != nil && !opts.SequentialPrecompute {
 		seqOpts.Pool = pool
 	}
 	seq, err := remseq.Compute(p, seqOpts)
-	if err != nil {
-		precompute = time.Since(t0)
-		ctl.End()
-		run.PhaseEnd("remainder")
-		return partial(err)
-	}
-	if err := seq.Validate(); err != nil {
-		ctl.End()
-		run.PhaseEnd("remainder")
-		return nil, err
+	if err == nil {
+		err = seq.Validate()
 	}
 	precompute = time.Since(t0)
-	ctl.End()
-	run.PhaseEnd("remainder")
+	emit(obs, sched.PhaseEnd, "remainder")
+	if err != nil {
+		return partial(err)
+	}
 
 	var precomputeTasks int64
 	if pool != nil {
@@ -417,26 +428,21 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 	}
 
 	// Stage 2: tree polynomials and interval problems.
-	onPhase("tree")
 	if err := stop(); err != nil {
 		return partial(err)
 	}
 	t1 := time.Now()
-	run.PhaseBegin("solve")
-	ctl.Begin("solve", trace.CatPhase)
+	emit(obs, sched.PhaseBegin, "solve")
 	root := tree.Build(n)
 	bound := p.RootBound()
 	var tally taskTally
-	var onInterval sync.Once
-	intervalPhase := func() { onInterval.Do(func() { onPhase("interval") }) }
 	if pool == nil {
-		err = solveSequential(seq, root, bound, opts, mctx, ctl, stop, intervalPhase)
+		err = solveSequential(seq, root, bound, opts, mctx, obs, stop)
 	} else {
-		err = solveParallel(pool, seq, root, bound, opts, mctx, &tally, intervalPhase)
+		err = solveParallel(pool, seq, root, bound, opts, mctx, &tally)
 	}
 	treeSolve = time.Since(t1)
-	ctl.End()
-	run.PhaseEnd("solve")
+	emit(obs, sched.PhaseEnd, "solve")
 	if err != nil {
 		return partial(err)
 	}
@@ -496,11 +502,11 @@ func mergeRoots(nd *tree.Node) []dyadic.Dyadic {
 
 // solveSequential runs the whole second stage in post-order on the
 // calling goroutine, polling stop between nodes and between interval
-// problems so cancellation and budget exhaustion abort mid-phase. The
-// control lane records one task span per node step using the same tag
-// names as the parallel scheduler, so sequential and parallel traces
+// problems so cancellation and budget exhaustion abort mid-phase. Each
+// node step is a control-lane task on the stream, tagged like the
+// parallel scheduler's tasks, so sequential and parallel traces
 // aggregate under the same task kinds.
-func solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, mctx metrics.Ctx, ctl *trace.Lane, stop func() error, intervalPhase func()) error {
+func solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, mctx metrics.Ctx, obs sched.Observers, stop func() error) error {
 	var werr error
 	root.Walk(func(nd *tree.Node) {
 		if werr != nil {
@@ -509,27 +515,26 @@ func solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts 
 		if werr = stop(); werr != nil {
 			return
 		}
-		ctl.Begin("computepoly", trace.CatTask)
+		emit(obs, sched.TaskStart, "computepoly")
 		tree.ComputePoly(seq, mctx, nd)
-		ctl.End()
-		ctl.Begin("sort", trace.CatTask)
+		emit(obs, sched.TaskDone, "computepoly")
+		emit(obs, sched.TaskStart, "sort")
 		ys := mergeRoots(nd)
-		ctl.End()
-		ctl.Begin("preinterval", trace.CatTask)
+		emit(obs, sched.TaskDone, "sort")
+		emit(obs, sched.TaskStart, "preinterval")
 		s := interval.NewSolver(nd.P, ys, bound, opts.Mu, opts.Method, mctx)
 		for i := 0; i < s.NumPoints(); i++ {
 			s.EvalPoint(i)
 		}
-		ctl.End()
-		intervalPhase()
+		emit(obs, sched.TaskDone, "preinterval")
 		roots := make([]dyadic.Dyadic, s.NumRoots())
 		for i := range roots {
 			if werr = stop(); werr != nil {
 				return
 			}
-			ctl.Begin("interval", trace.CatTask)
+			emit(obs, sched.TaskStart, "interval")
 			roots[i] = s.SolveInterval(i)
-			ctl.End()
+			emit(obs, sched.TaskDone, "interval")
 		}
 		nd.Roots = roots
 	})
@@ -572,7 +577,7 @@ type nodeState struct {
 // On cancellation or task failure the queue is drained without running
 // (sched.Pool semantics): gates stop firing, Wait still returns, and
 // the pool's first-failure error is reported instead of the roots.
-func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, ctx metrics.Ctx, tally *taskTally, intervalPhase func()) error {
+func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, ctx metrics.Ctx, tally *taskTally) error {
 	n := seq.N
 	states := make(map[*tree.Node]*nodeState)
 	done := make(chan struct{})
@@ -628,7 +633,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 				for i := 0; i < d; i++ {
 					i := i
 					pool.SubmitTagged("interval", func() { // INTERVAL task
-						intervalPhase()
 						tally.interval.Add(1)
 						roots[i] = st.solver.SolveInterval(i)
 						intervalGate.Done()

@@ -172,9 +172,13 @@ func TestRepeatedRootsReduceToDistinct(t *testing.T) {
 
 func TestMultiplicities(t *testing.T) {
 	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(1), mp.NewInt(1), mp.NewInt(-4), mp.NewInt(-4), mp.NewInt(9))
-	rm, err := FindRootsWithMultiplicity(p, Options{Mu: 8})
+	rm, st, err := FindRootsWithMultiplicity(p, Options{Mu: 8})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The three linear Yun factors' interval solves add up to TreeSolve.
+	if st.TreeSolve <= 0 || st.Total < st.Precompute+st.TreeSolve {
+		t.Fatalf("Stats = %+v, want summed positive stage times within Total", st)
 	}
 	want := []struct {
 		v int64
@@ -230,7 +234,7 @@ func TestCharPolyEigenvalues(t *testing.T) {
 		m := charpoly.RandomSymmetric01(r, n)
 		p := charpoly.CharPoly(m)
 		const mu = 24
-		rm, err := FindRootsWithMultiplicity(p, Options{Mu: mu, Workers: 4})
+		rm, _, err := FindRootsWithMultiplicity(p, Options{Mu: mu, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

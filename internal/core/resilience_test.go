@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"realroots/internal/faultinject"
 	"realroots/internal/metrics"
 	"realroots/internal/poly"
 	"realroots/internal/sched"
@@ -108,23 +110,58 @@ func TestCancelBeforeRun(t *testing.T) {
 	}
 }
 
+// boundaries maps each phase boundary to the stream event at which the
+// boundary tests cancel: the remainder phase beginning, the remainder
+// phase ending (the tree stage is next), and the first interval task.
+var boundaries = map[string]sched.Event{
+	"precompute": {Kind: sched.PhaseBegin, Name: "remainder"},
+	"tree":       {Kind: sched.PhaseEnd, Name: "remainder"},
+	"interval":   {Kind: sched.TaskStart, Name: "interval"},
+}
+
+// canceler is a stream subscriber that cancels the run at the first
+// event matching at, and counts the phases and tasks begun after it.
+type canceler struct {
+	at     sched.Event
+	cancel context.CancelFunc
+	fired  atomic.Bool
+	after  atomic.Int64
+}
+
+func (c *canceler) Observe(e sched.Event) {
+	begins := e.Kind == sched.PhaseBegin || e.Kind == sched.TaskStart
+	switch {
+	case c.fired.Load():
+		if begins {
+			c.after.Add(1)
+		}
+	case e.Kind == c.at.Kind && e.Name == c.at.Name && c.fired.CompareAndSwap(false, true):
+		c.cancel()
+	}
+}
+
+// cancelAtBoundary returns options canceling the run at the named
+// boundary, and the subscriber doing it.
+func cancelAtBoundary(boundary string, opts Options) (Options, *canceler, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &canceler{at: boundaries[boundary], cancel: cancel}
+	opts.Ctx, opts.Observer = ctx, c
+	return opts, c, cancel
+}
+
 func TestCancelAtPhaseBoundariesSequential(t *testing.T) {
 	p := testPoly(12)
 	for _, phase := range []string{"precompute", "tree", "interval"} {
 		t.Run(phase, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
+			opts, c, cancel := cancelAtBoundary(phase, Options{Mu: 16})
 			defer cancel()
-			var seen []string
-			opts := Options{Mu: 16, Ctx: ctx, OnPhase: func(ph string) {
-				seen = append(seen, ph)
-				if ph == phase {
-					cancel()
-				}
-			}}
 			res, err := FindRoots(p, opts)
 			checkPartial(t, res, err, ErrCanceled)
-			if seen[len(seen)-1] != phase {
-				t.Fatalf("phases seen %v, want run to stop at %q", seen, phase)
+			if !c.fired.Load() {
+				t.Fatalf("run never reached the %s boundary", phase)
+			}
+			if n := c.after.Load(); n != 0 {
+				t.Fatalf("%d phases or tasks began after the %s boundary, want the run to stop there", n, phase)
 			}
 		})
 	}
@@ -136,13 +173,8 @@ func TestCancelAtPhaseBoundariesParallel(t *testing.T) {
 	// the stop() polls on the submitting goroutine.
 	for _, phase := range []string{"precompute", "tree"} {
 		t.Run(phase, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
+			opts, _, cancel := cancelAtBoundary(phase, Options{Mu: 16, Workers: 4})
 			defer cancel()
-			opts := Options{Mu: 16, Workers: 4, Ctx: ctx, OnPhase: func(ph string) {
-				if ph == phase {
-					cancel()
-				}
-			}}
 			res, err := FindRoots(p, opts)
 			checkPartial(t, res, err, ErrCanceled)
 		})
@@ -153,13 +185,8 @@ func TestCancelAtPhaseBoundariesParallel(t *testing.T) {
 	// what is being tested is that the error, when it occurs, is typed
 	// and that the run never hangs.
 	t.Run("interval", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
+		opts, _, cancel := cancelAtBoundary("interval", Options{Mu: 32, Workers: 4})
 		defer cancel()
-		opts := Options{Mu: 32, Workers: 4, Ctx: ctx, OnPhase: func(ph string) {
-			if ph == "interval" {
-				cancel()
-			}
-		}}
 		res, err := FindRoots(testPoly(16), opts)
 		if err == nil {
 			if len(res.Roots) != 16 {
@@ -210,13 +237,12 @@ func TestBudgetGenerousSucceeds(t *testing.T) {
 	}
 }
 
+// TestTaskHookPanicIsIsolated: a subscriber panicking on a pool task's
+// TaskStart (the fault-injection point) fails the run like a task panic.
 func TestTaskHookPanicIsIsolated(t *testing.T) {
 	p := testPoly(10)
-	res, err := FindRoots(p, Options{Mu: 16, Workers: 4, TaskHook: func(seq int64) {
-		if seq == 5 {
-			panic("injected task fault")
-		}
-	}})
+	hook := faultinject.Plan{PanicAt: 5, CancelAt: -1}.Hook(nil)
+	res, err := FindRoots(p, Options{Mu: 16, Workers: 4, Observer: hook})
 	var pe *sched.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *sched.PanicError", err)
@@ -227,13 +253,9 @@ func TestTaskHookPanicIsIsolated(t *testing.T) {
 func TestPartialStatsOnMidRunCancel(t *testing.T) {
 	// Cancel at the tree boundary: the precompute stage completed, so
 	// the partial stats must show it.
-	ctx, cancel := context.WithCancel(context.Background())
+	opts, _, cancel := cancelAtBoundary("tree", Options{Mu: 16})
 	defer cancel()
-	res, err := FindRoots(testPoly(12), Options{Mu: 16, Ctx: ctx, OnPhase: func(ph string) {
-		if ph == "tree" {
-			cancel()
-		}
-	}})
+	res, err := FindRoots(testPoly(12), opts)
 	checkPartial(t, res, err, ErrCanceled)
 	if res.Stats.Precompute <= 0 {
 		t.Fatalf("partial Stats.Precompute = %v, want > 0", res.Stats.Precompute)
@@ -266,21 +288,13 @@ func TestNoGoroutineLeakAcrossFailureModes(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		// Canceled mid-tree.
-		ctx, cancel := context.WithCancel(context.Background())
-		_, _ = FindRoots(p, Options{Mu: 16, Workers: 4, Ctx: ctx, OnPhase: func(ph string) {
-			if ph == "tree" {
-				cancel()
-			}
-		}})
+		opts, _, cancel := cancelAtBoundary("tree", Options{Mu: 16, Workers: 4})
+		_, _ = FindRoots(p, opts)
 		cancel()
 		// Budget-tripped.
 		_, _ = FindRoots(p, Options{Mu: 16, Workers: 2, MaxBitOps: 1000})
 		// Task panic.
-		_, _ = FindRoots(p, Options{Mu: 16, Workers: 2, TaskHook: func(seq int64) {
-			if seq == 2 {
-				panic("fault")
-			}
-		}})
+		_, _ = FindRoots(p, Options{Mu: 16, Workers: 2, Observer: faultinject.Plan{PanicAt: 2, CancelAt: -1}.Hook(nil)})
 		// Healthy run, for contrast.
 		if _, err := FindRoots(p, Options{Mu: 16, Workers: 2}); err != nil {
 			t.Fatalf("healthy run failed: %v", err)

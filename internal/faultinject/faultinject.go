@@ -2,22 +2,27 @@
 // for the solver's chaos suite. A Plan describes which scheduler tasks
 // misbehave — panic, stall, trigger cancellation — and how tight the
 // bit-operation budget is; the same seed always yields the same plan,
-// so a chaos failure reproduces from nothing but its seed. The plan is
-// delivered to the pool through core.Options.TaskHook, which the
-// scheduler invokes with a monotone per-pool task sequence number
-// before each task body runs.
+// so a chaos failure reproduces from nothing but its seed. A plan
+// reaches the solver as a subscriber to its instrumentation stream
+// (Plan.Hook, passed as core.Options.Observer): the subscriber numbers
+// the pool tasks in the order workers start them and faults a task as
+// its TaskStart is delivered, inside the pool's panic isolation.
 package faultinject
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
+
+	"realroots/internal/sched"
 )
 
 // A Plan is one deterministic fault schedule. The zero value injects
-// nothing. Sequence numbers refer to the pool's task-submission order
-// as observed by the task hook; -1 disables the corresponding fault.
+// nothing. Sequence numbers count pool tasks in execution order — the
+// order workers start them, 0 first — as one subscriber observes them;
+// -1 disables the corresponding fault.
 type Plan struct {
 	Seed       int64         // seed the plan was derived from (informational)
 	PanicAt    int64         // task sequence at which the hook panics; -1 = never
@@ -64,16 +69,23 @@ func New(seed int64) Plan {
 	return pl
 }
 
-// Hook returns the task hook implementing the plan, or nil when the
-// plan has no per-task faults (budgets live in Options.MaxBitOps, not
-// in the hook). cancel is the run context's CancelFunc, invoked at
-// CancelAt; it may be nil when the plan never cancels. The hook is
-// called concurrently from pool workers and is safe for that.
-func (pl Plan) Hook(cancel context.CancelFunc) func(seq int64) {
+// Hook returns the plan's subscriber to a solve's instrumentation
+// stream, or nil when the plan has no per-task faults (budgets live in
+// Options.MaxBitOps). It numbers the pool task starts it observes, in
+// order, and stalls, cancels (via cancel, the run context's CancelFunc;
+// nil when the plan never cancels) or panics on the planned ones. Tasks
+// of sequential solves (sched.ControlLane) are not counted: no pool
+// isolates a panic there. It is safe for concurrent use.
+func (pl Plan) Hook(cancel context.CancelFunc) sched.Observer {
 	if pl.PanicAt < 0 && pl.CancelAt < 0 && pl.DelayEvery == 0 {
 		return nil
 	}
-	return func(seq int64) {
+	var next atomic.Int64
+	return sched.ObserverFunc(func(e sched.Event) {
+		if e.Kind != sched.TaskStart || e.Worker == sched.ControlLane {
+			return
+		}
+		seq := next.Add(1) - 1
 		if pl.DelayEvery > 0 && seq%pl.DelayEvery == 0 {
 			time.Sleep(pl.Delay)
 		}
@@ -83,7 +95,7 @@ func (pl Plan) Hook(cancel context.CancelFunc) func(seq int64) {
 		if seq == pl.PanicAt {
 			panic(Panic{Seed: pl.Seed, Seq: seq})
 		}
-	}
+	})
 }
 
 // FaultFree reports whether the plan injects no fault that could make

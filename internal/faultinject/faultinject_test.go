@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"realroots/internal/sched"
 )
 
 func TestNewIsDeterministic(t *testing.T) {
@@ -46,10 +48,17 @@ func TestNewCoversEveryFaultKind(t *testing.T) {
 	}
 }
 
+// start delivers one pool-task start to a plan's subscriber.
+func start(h sched.Observer) { h.Observe(sched.Event{Kind: sched.TaskStart}) }
+
 func TestHookPanicsWithIdentifiableValue(t *testing.T) {
 	pl := Plan{Seed: 7, PanicAt: 3, CancelAt: -1}
 	hook := pl.Hook(nil)
-	hook(2) // must not panic
+	for i := 0; i < 3; i++ {
+		start(hook) // tasks 0..2 must not panic
+	}
+	// Control-lane tasks (sequential solves) take no sequence number.
+	hook.Observe(sched.Event{Kind: sched.TaskStart, Worker: sched.ControlLane})
 	defer func() {
 		r := recover()
 		p, ok := r.(Panic)
@@ -60,21 +69,24 @@ func TestHookPanicsWithIdentifiableValue(t *testing.T) {
 			t.Fatalf("Panic = %+v", p)
 		}
 	}()
-	hook(3)
-	t.Fatal("hook(PanicAt) did not panic")
+	start(hook)
+	t.Fatal("task PanicAt did not panic")
 }
 
 func TestHookInvokesCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	pl := Plan{PanicAt: -1, CancelAt: 5}
 	hook := pl.Hook(cancel)
-	hook(4)
+	for i := 0; i < 5; i++ {
+		start(hook)
+		hook.Observe(sched.Event{Kind: sched.TaskDone}) // only starts count
+	}
 	if ctx.Err() != nil {
 		t.Fatal("canceled before CancelAt")
 	}
-	hook(5)
+	start(hook)
 	if ctx.Err() == nil {
-		t.Fatal("hook(CancelAt) did not cancel")
+		t.Fatal("task CancelAt did not cancel")
 	}
 }
 

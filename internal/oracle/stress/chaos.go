@@ -50,7 +50,7 @@ func ChaosRun(p *poly.Poly, mu uint, workers int, plan faultinject.Plan) (*core.
 		Workers:   workers,
 		Ctx:       ctx,
 		MaxBitOps: plan.MaxBitOps,
-		TaskHook:  plan.Hook(cancel),
+		Observer:  plan.Hook(cancel),
 	}
 	type outcome struct {
 		res *core.Result

@@ -94,7 +94,7 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 		ci := f[i][n-i]      // c_i
 		ci1 := f[i-1][n-i+1] // c_{i-1}
 		if ci.IsZero() {
-			return nil, classify(p)
+			return nil, classify(f[i])
 		}
 		// q_{i,1} = c_{i-1}·c_i ; q_{i,0} = c_i·f_{i-1,n-i} - f_{i,n-i-1}·c_{i-1}.
 		q1 := ctx.Mul(ci1, ci)
@@ -143,7 +143,7 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 
 		if f[i+1][n-i-1].IsZero() {
 			// Degree dropped by more than one: abnormal sequence.
-			return nil, classify(p)
+			return nil, classify(f[i+1])
 		}
 	}
 
@@ -153,7 +153,7 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 	for i := 0; i <= n; i++ {
 		s.F[i] = poly.New(f[i]...)
 		if s.F[i].Degree() != n-i {
-			return nil, classify(p)
+			return nil, classify(f[i])
 		}
 		s.C[i] = new(mp.Int).Set(f[i][n-i])
 		if i == 0 {
@@ -165,12 +165,19 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 	return s, nil
 }
 
-// classify distinguishes the two precondition violations.
-func classify(p *poly.Poly) error {
-	if !p.IsSquarefree() {
-		return ErrNotSquarefree
+// classify names the violation behind an abnormal row without a second
+// GCD. The sequence was normal up to the row, so a row vanishing
+// identically means gcd(F_0, F_0′) ~ F_i, of degree ≥ 1: repeated roots.
+// Any other degree drop means non-real roots, since a real-rooted input,
+// squarefree or not, has a normal sequence up to a zero row. (For an
+// input with both defects, either error is true.)
+func classify(row []*mp.Int) error {
+	for _, c := range row {
+		if !c.IsZero() {
+			return ErrNotAllReal
+		}
 	}
-	return ErrNotAllReal
+	return ErrNotSquarefree
 }
 
 func coeffs(p *poly.Poly, deg int) []*mp.Int {

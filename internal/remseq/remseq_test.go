@@ -120,6 +120,21 @@ func TestRepeatedRootsDetected(t *testing.T) {
 	}
 }
 
+// TestRepeatedComplexRootsDetected: (x²+1)²(x-3) is neither squarefree
+// nor real-rooted, so either typed error is a true answer — but it must
+// be one of them.
+func TestRepeatedComplexRootsDetected(t *testing.T) {
+	sq := poly.FromInt64s(1, 0, 1)
+	p := sq.Mul(sq).Mul(poly.FromRoots(mp.NewInt(3)))
+	s, err := Compute(p, Options{})
+	if err == nil {
+		err = s.Validate()
+	}
+	if !errors.Is(err, ErrNotSquarefree) && !errors.Is(err, ErrNotAllReal) {
+		t.Fatalf("err = %v, want ErrNotSquarefree or ErrNotAllReal", err)
+	}
+}
+
 func TestComplexRootsDetected(t *testing.T) {
 	// (x²+1)(x-3)(x+4)(x²+x+9): squarefree but not all real. Either the
 	// structural checks or Validate must reject it.

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"realroots/internal/trace"
 )
 
 func TestQueueDepthAndStats(t *testing.T) {
@@ -80,97 +78,6 @@ func TestStatsCountsRetries(t *testing.T) {
 	}
 }
 
-func TestTracerRecordsWorkerSpans(t *testing.T) {
-	tr := trace.New()
-	p := NewPool(3)
-	p.SetTracer(tr)
-	const n = 24
-	for i := 0; i < n; i++ {
-		p.SubmitTagged("interval", func() {})
-	}
-	p.Submit(func() {}) // default tag
-	p.Wait()
-	p.Close()
-
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	lanes := tr.Lanes()
-	if len(lanes) == 0 || len(lanes) > 3 {
-		t.Fatalf("got %d lanes, want 1..3", len(lanes))
-	}
-	total, tagged := 0, 0
-	for _, l := range lanes {
-		if l.ID < 0 || l.ID > 2 {
-			t.Errorf("unexpected lane ID %d", l.ID)
-		}
-		for _, s := range l.Spans() {
-			if s.Cat != trace.CatTask {
-				t.Errorf("span cat = %q, want task", s.Cat)
-			}
-			total++
-			if s.Name == "interval" {
-				tagged++
-			}
-		}
-	}
-	if total != n+1 {
-		t.Errorf("recorded %d spans, want %d", total, n+1)
-	}
-	if tagged != n {
-		t.Errorf("%d interval-tagged spans, want %d", tagged, n)
-	}
-	if len(tr.Counters()) != total {
-		t.Errorf("%d queue-depth samples, want %d", len(tr.Counters()), total)
-	}
-}
-
-func TestTracedGateAndParallelForTags(t *testing.T) {
-	tr := trace.New()
-	p := NewPool(2)
-	p.SetTracer(tr)
-	g := NewGateTagged(p, 2, "sort", func() {})
-	_ = p.ParallelForTagged("precompute", 8, 4, func(i int) {})
-	g.Done()
-	g.Done()
-	p.Wait()
-	p.Close()
-
-	byTag := map[string]int{}
-	for _, l := range tr.Lanes() {
-		for _, s := range l.Spans() {
-			byTag[s.Name]++
-		}
-	}
-	if byTag["precompute"] != 2 {
-		t.Errorf("precompute spans = %d, want 2 (8 iterations / grain 4)", byTag["precompute"])
-	}
-	if byTag["sort"] != 1 {
-		t.Errorf("sort spans = %d, want 1", byTag["sort"])
-	}
-}
-
-func TestTracedSimulatedPool(t *testing.T) {
-	tr := trace.New()
-	p := NewSimulatedPool(4)
-	p.SetTracer(tr)
-	for i := 0; i < 6; i++ {
-		p.SubmitTagged("interval", func() {})
-	}
-	p.Wait()
-	p.Close()
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	lanes := tr.Lanes()
-	if len(lanes) != 1 {
-		t.Fatalf("simulated pool has %d lanes, want 1 (one real worker)", len(lanes))
-	}
-	if got := len(lanes[0].Spans()); got != 6 {
-		t.Errorf("spans = %d, want 6", got)
-	}
-}
-
 // recordingObserver captures lifecycle callbacks for assertions.
 type recordingObserver struct {
 	mu     sync.Mutex
@@ -190,17 +97,10 @@ func (o *recordingObserver) add(e obsEvent) {
 	o.mu.Unlock()
 }
 
-func (o *recordingObserver) TaskStart(worker int, tag string) {
-	o.add(obsEvent{kind: "start", worker: worker, tag: tag})
-}
-func (o *recordingObserver) TaskDone(worker int, tag string) {
-	o.add(obsEvent{kind: "done", worker: worker, tag: tag})
-}
-func (o *recordingObserver) TaskPanic(worker int, tag string, v any) {
-	o.add(obsEvent{kind: "panic", worker: worker, tag: tag})
-}
-func (o *recordingObserver) TaskRetry(tag string, left int) {
-	o.add(obsEvent{kind: "retry", tag: tag, left: left})
+var kindNames = map[EventKind]string{TaskStart: "start", TaskDone: "done", TaskPanic: "panic", TaskRetry: "retry"}
+
+func (o *recordingObserver) Observe(e Event) {
+	o.add(obsEvent{kind: kindNames[e.Kind], worker: e.Worker, tag: e.Name, left: e.Left})
 }
 
 func (o *recordingObserver) byKind() map[string][]obsEvent {
@@ -349,5 +249,18 @@ func TestUntracedPoolUnchanged(t *testing.T) {
 	p.Wait()
 	if got := p.Executed(); got != 10 {
 		t.Errorf("Executed = %d, want 10", got)
+	}
+}
+
+// TestNilObserversNoAllocs pins the nil path: a solve with no
+// subscriber streams into a nil Observers, which must not allocate.
+func TestNilObserversNoAllocs(t *testing.T) {
+	var obs Observers
+	if n := testing.AllocsPerRun(1000, func() {
+		obs.Observe(Event{Kind: PhaseBegin, Name: "remainder", Worker: ControlLane})
+		obs.Observe(Event{Kind: TaskStart, Name: "interval", Worker: ControlLane})
+		obs.Observe(Event{Kind: TaskDone, Name: "interval", Worker: ControlLane})
+	}); n != 0 {
+		t.Fatalf("nil Observers allocates %.1f objects/op, want 0", n)
 	}
 }

@@ -165,12 +165,23 @@ func TestSubmitRetryPanicIsNotRetried(t *testing.T) {
 	}
 }
 
+// onTaskStart subscribes f to the pool's TaskStart events — the
+// fault-injection point — numbering them in execution order.
+func onTaskStart(p *Pool, f func(seq int64)) {
+	var seq atomic.Int64
+	p.SetObserver(ObserverFunc(func(e Event) {
+		if e.Kind == TaskStart {
+			f(seq.Add(1) - 1)
+		}
+	}))
+}
+
 func TestTaskHookSeesEveryTask(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var hooked atomic.Int64
 	var maxSeq atomic.Int64
-	p.SetTaskHook(func(seq int64) {
+	onTaskStart(p, func(seq int64) {
 		hooked.Add(1)
 		for {
 			m := maxSeq.Load()
@@ -195,7 +206,7 @@ func TestTaskHookSeesEveryTask(t *testing.T) {
 func TestTaskHookPanicBecomesPoolError(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.SetTaskHook(func(seq int64) {
+	onTaskStart(p, func(seq int64) {
 		if seq == 3 {
 			panic("injected")
 		}
@@ -207,6 +218,9 @@ func TestTaskHookPanicBecomesPoolError(t *testing.T) {
 	var pe *PanicError
 	if err := p.Err(); !errors.As(err, &pe) {
 		t.Fatalf("Err = %v, want *PanicError from hook", err)
+	}
+	if got := p.Stats().Panics; got != 1 {
+		t.Fatalf("Stats.Panics = %d, want 1", got)
 	}
 }
 

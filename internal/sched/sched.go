@@ -21,12 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"realroots/internal/trace"
 )
 
 // ErrPoolCanceled is the error recorded by Cancel(nil).
@@ -55,11 +52,10 @@ type Pool struct {
 	cond     *sync.Cond
 	queue    []queued
 	closed   bool
-	taskHook func(seq int64) // fault-injection / tracing hook (see SetTaskHook)
-	tracer   *trace.Tracer   // nil = tracing disabled (see SetTracer)
-	observer Observer        // nil = no lifecycle callbacks (see SetObserver)
-	label    string          // attribution tag for failures (see SetLabel)
-	maxQueue int             // high-water mark of len(queue), under mu
+	observer Observer  // nil = uninstrumented (see SetObserver)
+	epoch    time.Time // submission-time origin while observed
+	label    string    // attribution tag for failures (see SetLabel)
+	maxQueue int       // high-water mark of len(queue), under mu
 
 	outstanding atomic.Int64 // queued + running tasks
 	idleMu      sync.Mutex
@@ -69,7 +65,6 @@ type Pool struct {
 	executed atomic.Int64 // total tasks run to completion (diagnostics)
 	panics   atomic.Int64 // panics recovered from tasks (incl. ParallelFor bodies)
 	retries  atomic.Int64 // SubmitRetry re-executions after a transient failure
-	seq      atomic.Int64 // task sequence numbers handed to the hook
 
 	cancelCh   chan struct{} // closed on first Cancel/failure
 	cancelOnce sync.Once
@@ -85,8 +80,9 @@ type Pool struct {
 const DefaultTag = "task"
 
 // queued is one queue entry: the task plus its tag (for trace spans),
-// its submission time relative to the tracer epoch (zero when tracing
-// is off), and its simulated ready time (zero outside simulation mode).
+// its submission time relative to the pool's epoch (zero when no
+// observer is installed), and its simulated ready time (zero outside
+// simulation mode).
 type queued struct {
 	f      func()
 	tag    string
@@ -148,17 +144,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// SetTracer attaches a tracer: every executed task is recorded as a
-// span (named by its tag) on the executing worker's lane, with the
-// queue latency between submission and start, and the queue depth is
-// sampled at each dequeue. Install it before submitting work; a nil
-// tracer (the default) adds no allocations to the submit/execute path.
-func (p *Pool) SetTracer(tr *trace.Tracer) {
-	p.mu.Lock()
-	p.tracer = tr
-	p.mu.Unlock()
-}
-
 // SetLabel tags the pool with the identity of the work it is running
 // (rootd sets the owning request ID). The label travels on PanicError,
 // so a panic surfacing minutes later in a log still names the request
@@ -176,54 +161,16 @@ func (p *Pool) getLabel() string {
 	return p.label
 }
 
-// An Observer receives task-lifecycle callbacks from the pool: span
-// boundaries on the executing worker's lane plus panic and retry
-// events. It is the telemetry feed — internal/telemetry's *Run
-// satisfies it structurally, so sched needs no telemetry import.
-// Implementations must be safe for concurrent use from all workers and
-// cheap: callbacks run on the worker's critical path.
-type Observer interface {
-	// TaskStart is called on the executing worker before the task runs.
-	TaskStart(worker int, tag string)
-	// TaskDone is called on the executing worker after the task
-	// returns, including after an isolated panic (TaskPanic fires in
-	// between, so a panicking task still produces a balanced
-	// start/done pair).
-	TaskDone(worker int, tag string)
-	// TaskPanic is called when a task panic is recovered. worker is -1
-	// for panics isolated inside ParallelFor bodies, whose recovery
-	// happens in the chunk closure rather than the worker loop.
-	TaskPanic(worker int, tag string, v any)
-	// TaskRetry is called when SubmitRetry requeues a failed attempt;
-	// left is the number of attempts remaining.
-	TaskRetry(tag string, left int)
-}
-
-// SetObserver installs the pool's lifecycle observer. Install it
-// before submitting work; a nil observer (the default) adds no
-// allocations to the execute path.
+// SetObserver installs the pool's instrumentation: every executed
+// task reaches o as a TaskStart/TaskDone pair on the executing
+// worker's index, with TaskPanic in between when the task panicked,
+// and SubmitRetry requeues arrive as TaskRetry. Install it before
+// submitting work; with no observer (the default) the submit and
+// execute paths make no instrumentation calls and no allocations.
 func (p *Pool) SetObserver(o Observer) {
 	p.mu.Lock()
 	p.observer = o
-	p.mu.Unlock()
-}
-
-// getObserver reads the observer outside the worker loop (retry and
-// ParallelFor panic paths).
-func (p *Pool) getObserver() Observer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.observer
-}
-
-// SetTaskHook installs a hook invoked at the start of every task with a
-// monotonically increasing sequence number (0, 1, 2, …, in execution
-// order). It is the fault-injection point: the hook may sleep to delay
-// the task, panic (recovered like any task panic), or trigger external
-// cancellation. Install it before submitting work.
-func (p *Pool) SetTaskHook(h func(seq int64)) {
-	p.mu.Lock()
-	p.taskHook = h
+	p.epoch = time.Now()
 	p.mu.Unlock()
 }
 
@@ -274,7 +221,6 @@ func (p *Pool) Canceled() bool {
 func (p *Pool) Done() <-chan struct{} { return p.cancelCh }
 
 func (p *Pool) worker(id int) {
-	var lane *trace.Lane // cached worker timeline; created on first traced task
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
@@ -288,14 +234,8 @@ func (p *Pool) worker(id int) {
 		p.queue = p.queue[1:]
 		depth := len(p.queue)
 		simulated := p.sim != nil
-		hook := p.taskHook
-		tr := p.tracer
 		obs := p.observer
 		p.mu.Unlock()
-
-		if tr != nil && lane == nil {
-			lane = tr.Lane(id, "worker-"+strconv.Itoa(id))
-		}
 
 		switch {
 		case p.Canceled():
@@ -304,10 +244,10 @@ func (p *Pool) worker(id int) {
 			// count still reaches zero so Wait returns.
 		case simulated:
 			proc, start := p.simBegin(task.vready)
-			p.traceTask(id, tr, lane, task, depth, hook, obs)
+			p.runTask(id, task, depth, obs)
 			p.simEnd(proc, start)
 		default:
-			p.traceTask(id, tr, lane, task, depth, hook, obs)
+			p.runTask(id, task, depth, obs)
 		}
 		if p.outstanding.Add(-1) == 0 {
 			p.idleMu.Lock()
@@ -317,46 +257,28 @@ func (p *Pool) worker(id int) {
 	}
 }
 
-// traceTask runs one task, wrapped in a worker-lane span and a
-// queue-depth sample when tracing is enabled. With tr == nil it is
-// exactly runTask.
-func (p *Pool) traceTask(id int, tr *trace.Tracer, lane *trace.Lane, task queued, depth int, hook func(int64), obs Observer) {
-	if tr == nil {
-		p.runTask(id, task, hook, obs)
-		return
-	}
-	tr.CounterSample("queue depth", int64(depth))
-	var wait time.Duration
-	if task.enq > 0 {
-		wait = tr.Now() - task.enq
-	}
-	lane.BeginAt(task.tag, trace.CatTask, wait)
-	defer lane.End()
-	p.runTask(id, task, hook, obs)
-}
-
 // runTask executes one task with panic isolation: a panic (from the
-// task or the hook) becomes the pool's first-failure error and cancels
-// the pool; the worker goroutine survives. The observer sees
-// TaskStart before the task and TaskDone after it — with TaskPanic in
-// between when the task panicked (the deferred calls unwind in that
-// order).
-func (p *Pool) runTask(id int, task queued, hook func(int64), obs Observer) {
+// task or from the observer's TaskStart — the fault-injection point)
+// becomes the pool's first-failure error and cancels the pool; the
+// worker goroutine survives. The observer sees TaskStart before the
+// task and TaskDone after it, with TaskPanic in between when the task
+// panicked (the deferred calls unwind in that order).
+func (p *Pool) runTask(id int, task queued, depth int, obs Observer) {
 	if obs != nil {
-		obs.TaskStart(id, task.tag)
-		defer obs.TaskDone(id, task.tag)
+		defer obs.Observe(Event{Kind: TaskDone, Name: task.tag, Worker: id})
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics.Add(1)
 			if obs != nil {
-				obs.TaskPanic(id, task.tag, r)
+				obs.Observe(Event{Kind: TaskPanic, Name: task.tag, Worker: id, Value: r})
 			}
 			p.fail(&PanicError{Value: r, Stack: debug.Stack(), Label: p.getLabel()})
 		}
 	}()
-	if hook != nil {
-		hook(p.seq.Add(1) - 1)
+	if obs != nil {
+		obs.Observe(Event{Kind: TaskStart, Name: task.tag, Worker: id,
+			Wait: time.Since(p.epoch) - task.enq, Depth: depth})
 	}
 	task.f()
 	p.executed.Add(1)
@@ -380,8 +302,8 @@ func (p *Pool) SubmitTagged(tag string, task func()) {
 		panic("sched: Submit on closed pool")
 	}
 	var enq time.Duration
-	if p.tracer != nil {
-		enq = p.tracer.Now()
+	if p.observer != nil {
+		enq = time.Since(p.epoch)
 	}
 	p.queue = append(p.queue, queued{f: task, tag: tag, enq: enq, vready: p.simReadyTime()})
 	if len(p.queue) > p.maxQueue {
@@ -405,8 +327,8 @@ func (p *Pool) SubmitRetry(attempts int, task func() error) {
 		if err := task(); err != nil {
 			if left > 1 {
 				p.retries.Add(1)
-				if obs := p.getObserver(); obs != nil {
-					obs.TaskRetry("retry", left-1)
+				if obs := p.observer; obs != nil { // read in a task: set before any Submit
+					obs.Observe(Event{Kind: TaskRetry, Name: "retry", Worker: ControlLane, Left: left - 1})
 				}
 				p.SubmitTagged("retry", func() { run(left - 1) })
 				return
@@ -478,8 +400,8 @@ func (p *Pool) ParallelForTagged(tag string, n, grain int, f func(i int)) error 
 			defer func() {
 				if r := recover(); r != nil {
 					p.panics.Add(1)
-					if obs := p.getObserver(); obs != nil {
-						obs.TaskPanic(-1, tag, r)
+					if obs := p.observer; obs != nil { // read in a task: set before any Submit
+						obs.Observe(Event{Kind: TaskPanic, Name: tag, Worker: ControlLane, Value: r})
 					}
 					p.fail(&PanicError{Value: r, Stack: debug.Stack(), Label: p.getLabel()})
 				}

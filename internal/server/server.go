@@ -81,12 +81,14 @@ type Config struct {
 	Logger *slog.Logger
 	// Now is the rate limiter's clock (tests); nil means time.Now.
 	Now func() time.Time
-	// Faults, if non-nil, builds a per-solve scheduler task hook from
-	// the solve's process-wide sequence number, its context, and its
-	// cancel function — the fault-injection seam the stress suite
-	// drives with internal/faultinject plans. Hooks fire only on
-	// parallel solves (workers ≥ 2).
-	Faults func(seq uint64, ctx context.Context, cancel context.CancelFunc) func(int64)
+	// Faults, if non-nil, builds a per-solve subscriber to the solve's
+	// instrumentation stream from the solve's process-wide sequence
+	// number, its context, and its cancel function — the
+	// fault-injection seam the stress suite drives with
+	// internal/faultinject plans (Plan.Hook). It is subscribed after the
+	// request tracker; plans fault only pool tasks, so only parallel
+	// solves (workers ≥ 2).
+	Faults func(seq uint64, ctx context.Context, cancel context.CancelFunc) sched.Observer
 }
 
 func (c Config) withDefaults() Config {
@@ -589,13 +591,16 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 		MaxBitOps: p.maxBits,
 		Telemetry: s.cfg.Telemetry,
 		RequestID: p.requestID,
-		OnPhase:   p.tracker.SetPhase,
 		Tracer:    tracer,
 	}
 	var counters metrics.Counters
 	opts.Counters = &counters
+	// The request tracker follows the solve's phases on its stream.
+	opts.Observer = p.tracker
 	if s.cfg.Faults != nil {
-		opts.TaskHook = s.cfg.Faults(s.solveSeq.Add(1), solveCtx, cancel)
+		if f := s.cfg.Faults(s.solveSeq.Add(1), solveCtx, cancel); f != nil {
+			opts.Observer = sched.Observers{p.tracker, f}
+		}
 	}
 
 	poly, err := req.buildPoly(p.profile)
@@ -604,7 +609,7 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	}
 
 	start := time.Now()
-	roots, err := core.FindRootsWithMultiplicity(poly, opts)
+	roots, _, err := core.FindRootsWithMultiplicity(poly, opts)
 	elapsed := time.Since(start)
 	s.solveHist.With(p.method.String()).Observe(elapsed.Seconds(), p.requestID)
 	s.observeSolve(tracer, p, start, elapsed, counters.BitOps(), err)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"realroots/internal/sched"
 	"realroots/internal/telemetry"
 )
 
@@ -253,13 +254,16 @@ func TestAdmissionOverload(t *testing.T) {
 	s, hs := newTestServer(t, Config{
 		MaxConcurrent:     4,
 		MaxInflightBitOps: 1, // any second concurrent request oversubscribes
-		Faults: func(seq uint64, ctx context.Context, cancel context.CancelFunc) func(int64) {
-			return func(int64) {
+		Faults: func(seq uint64, ctx context.Context, cancel context.CancelFunc) sched.Observer {
+			return sched.ObserverFunc(func(e sched.Event) {
+				if e.Kind != sched.TaskStart || e.Worker == sched.ControlLane {
+					return
+				}
 				select {
 				case <-gate:
 				case <-ctx.Done():
 				}
-			}
+			})
 		},
 	})
 
@@ -306,13 +310,16 @@ func TestDrain(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	s := New(Config{
-		Faults: func(seq uint64, ctx context.Context, cancel context.CancelFunc) func(int64) {
-			return func(int64) {
+		Faults: func(seq uint64, ctx context.Context, cancel context.CancelFunc) sched.Observer {
+			return sched.ObserverFunc(func(e sched.Event) {
+				if e.Kind != sched.TaskStart || e.Worker == sched.ControlLane {
+					return
+				}
 				select {
 				case <-gate:
 				case <-ctx.Done():
 				}
-			}
+			})
 		},
 	})
 	hs := httptest.NewServer(s.Handler())

@@ -17,6 +17,7 @@ import (
 	"realroots/internal/faultinject"
 	"realroots/internal/mp"
 	"realroots/internal/poly"
+	"realroots/internal/sched"
 	"realroots/internal/workload"
 )
 
@@ -78,7 +79,7 @@ func referenceRoots(t *testing.T, instances []stressInstance) map[int][]RootJSON
 	t.Helper()
 	refs := make(map[int][]RootJSON, len(instances))
 	for i, inst := range instances {
-		roots, err := core.FindRootsWithMultiplicity(inst.p, core.Options{Mu: inst.mu})
+		roots, _, err := core.FindRootsWithMultiplicity(inst.p, core.Options{Mu: inst.mu})
 		if err != nil {
 			t.Fatalf("reference solve %d: %v", i, err)
 		}
@@ -132,7 +133,7 @@ func TestStressMultiTenant(t *testing.T) {
 		MaxQueue:        tenants * workersPerTenant * reqsPerWorker,
 		WorkersPerSolve: 2,
 		CacheEntries:    8, // small enough to exercise eviction under load
-		Faults: func(seq uint64, ctx context.Context, cancel context.CancelFunc) func(int64) {
+		Faults: func(seq uint64, ctx context.Context, cancel context.CancelFunc) sched.Observer {
 			return faultinject.New(faultSeed + int64(seq)).Hook(cancel)
 		},
 	})

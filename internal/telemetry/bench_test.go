@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"realroots/internal/metrics"
+	"realroots/internal/sched"
 	"realroots/internal/trace"
 )
 
@@ -17,17 +18,14 @@ func TestDisabledTelemetryZeroAlloc(t *testing.T) {
 	var tel *Telemetry
 	var rep metrics.Report
 	if n := testing.AllocsPerRun(100, func() {
-		run := tel.RunStart("core", 50, 32, 8)
-		run.PhaseBegin("remainder")
-		run.PhaseEnd("remainder")
-		run.Event("e", 1)
+		run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
+		phaseSpan(run, "remainder")
 		run.BudgetExhausted(1)
-		run.SchedStats(SchedStats{})
+		run.SchedStats(sched.PoolStats{})
 		run.Utilization(trace.Summary{})
-		run.TaskStart(0, "t")
-		run.TaskDone(0, "t")
-		run.TaskPanic(0, "t", nil)
-		run.TaskRetry("t", 1)
+		taskSpan(run, 0, "t")
+		run.Observe(sched.Event{Kind: sched.TaskPanic, Name: "t"})
+		run.Observe(sched.Event{Kind: sched.TaskRetry, Name: "t", Left: 1})
 		run.Finish(OutcomeOK, 0, 0, rep)
 	}); n != 0 {
 		t.Fatalf("disabled telemetry run path allocates %.1f/op", n)
@@ -50,9 +48,8 @@ func BenchmarkDisabledRunLifecycle(b *testing.B) {
 	var rep metrics.Report
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		run := tel.RunStart("core", 50, 32, 8)
-		run.PhaseBegin("remainder")
-		run.PhaseEnd("remainder")
+		run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
+		phaseSpan(run, "remainder")
 		run.Finish(OutcomeOK, 0, 0, rep)
 	}
 }
@@ -61,8 +58,7 @@ func BenchmarkDisabledTaskHooks(b *testing.B) {
 	var run *Run
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		run.TaskStart(0, "t")
-		run.TaskDone(0, "t")
+		taskSpan(run, 0, "t")
 	}
 }
 
@@ -86,10 +82,9 @@ func BenchmarkEnabledFlightEvent(b *testing.B) {
 
 func BenchmarkEnabledTaskSpan(b *testing.B) {
 	tel := New(Config{})
-	run := tel.RunStart("core", 50, 32, 8)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		run.TaskStart(0, "t")
-		run.TaskDone(0, "t")
+		taskSpan(run, 0, "t")
 	}
 }

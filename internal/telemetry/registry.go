@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"realroots/internal/metrics"
+	"realroots/internal/sched"
 	"realroots/internal/trace"
 )
 
@@ -32,7 +33,7 @@ type Registry struct {
 	roots        int64
 	bitOps       int64
 	agg          metrics.Report
-	sched        SchedStats // counters summed; MaxQueueDepth is the max
+	sched        sched.PoolStats // counters summed; MaxQueueDepth is the max
 	tracedRuns   int64
 	parallelism  float64
 	serialFrac   float64
@@ -48,7 +49,7 @@ func (g *Registry) runStarted() {
 	g.mu.Unlock()
 }
 
-func (g *Registry) finishRun(o Outcome, elapsed time.Duration, roots int, bitOps int64, rep metrics.Report, s SchedStats, hasSched bool) {
+func (g *Registry) finishRun(o Outcome, elapsed time.Duration, roots int, bitOps int64, rep metrics.Report, s sched.PoolStats, hasSched bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.runsFinished++
@@ -261,7 +262,7 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	e.family("realroots_sched_retries_total", "Task attempts requeued by SubmitRetry.", "counter")
 	e.sampleInt("realroots_sched_retries_total", g.sched.Retries)
 	e.family("realroots_sched_max_queue_depth", "Largest scheduler queue depth observed in any finished run.", "gauge")
-	e.sampleInt("realroots_sched_max_queue_depth", g.sched.MaxQueueDepth)
+	e.sampleInt("realroots_sched_max_queue_depth", int64(g.sched.MaxQueueDepth))
 
 	e.family("realroots_traced_runs_total", "Runs that published a trace utilization summary.", "counter")
 	e.sampleInt("realroots_traced_runs_total", g.tracedRuns)

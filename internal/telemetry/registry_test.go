@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"realroots/internal/metrics"
+	"realroots/internal/sched"
 	"realroots/internal/trace"
 )
 
@@ -26,11 +27,11 @@ func populatedRegistry(t *testing.T) *Telemetry {
 	t.Helper()
 	tel := New(Config{FlightCapacity: 128})
 	for i, o := range Outcomes {
-		run := tel.RunStart("core", 10+i, 16, 2)
-		run.SchedStats(SchedStats{Executed: 7, Retries: 1, MaxQueueDepth: int64(3 + i)})
+		run := tel.Start(RunInfo{Kind: "core", Degree: 10 + i, Mu: 16, Workers: 2})
+		run.SchedStats(sched.PoolStats{Executed: 7, Retries: 1, MaxQueueDepth: 3 + i})
 		run.Finish(o, i, int64(1000*(i+1)), sampleReport())
 	}
-	run := tel.RunStart("core", 40, 32, 4)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 40, Mu: 32, Workers: 4})
 	run.Utilization(trace.Summary{Wall: time.Second, Busy: 3 * time.Second, Parallelism: 3, SerialFraction: 0.25})
 	run.Finish(OutcomeOK, 4, 500, sampleReport())
 	return tel

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"realroots/internal/sched"
 )
 
 // RequestsSchema identifies the JSON shape of a /debug/requests dump.
@@ -112,13 +114,15 @@ func (t *RequestTracker) Start(info RequestInfo) *ActiveRequest {
 	return r
 }
 
-// SetPhase records the pipeline phase the request is currently in.
-func (r *ActiveRequest) SetPhase(phase string) {
-	if r == nil {
+// Observe subscribes the request to its solve's instrumentation stream
+// (sched.Observer): each phase that begins becomes the request's
+// current phase. Task events are ignored.
+func (r *ActiveRequest) Observe(e sched.Event) {
+	if r == nil || e.Kind != sched.PhaseBegin {
 		return
 	}
 	r.mu.Lock()
-	r.snap.Phase = phase
+	r.snap.Phase = e.Name
 	r.mu.Unlock()
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"realroots/internal/sched"
 )
 
 func TestRequestTrackerLifecycle(t *testing.T) {
@@ -18,7 +20,7 @@ func TestRequestTrackerLifecycle(t *testing.T) {
 	})
 	r.SetCacheOutcome("miss")
 	r.SetQueueWait(5 * time.Millisecond)
-	r.SetPhase("refine")
+	r.Observe(sched.Event{Kind: sched.PhaseBegin, Name: "refine"})
 
 	d := tr.Dump()
 	if len(d.Active) != 1 || len(d.Recent) != 0 {
@@ -86,7 +88,7 @@ func TestNilRequestTracker(t *testing.T) {
 		t.Fatal("nil tracker returned a non-nil handle")
 	}
 	// All handle methods must no-op on nil.
-	r.SetPhase("p")
+	r.Observe(sched.Event{Kind: sched.PhaseBegin, Name: "p"})
 	r.SetCacheOutcome("miss")
 	r.SetQueueWait(time.Second)
 	r.SetSolve(time.Second, 1, 1)
@@ -162,7 +164,7 @@ func TestRequestTrackerConcurrent(t *testing.T) {
 			defer func() { donec <- struct{}{} }()
 			for i := 0; i < per; i++ {
 				r := tr.Start(RequestInfo{ID: fmt.Sprintf("c%d-%d", g, i)})
-				r.SetPhase("solve")
+				r.Observe(sched.Event{Kind: sched.PhaseBegin, Name: "solve"})
 				r.SetSolve(time.Microsecond, 10, 4)
 				r.Finish("ok")
 			}

@@ -11,9 +11,8 @@ import (
 
 func TestServeEndpoints(t *testing.T) {
 	tel := New(Config{FlightCapacity: 128})
-	run := tel.RunStart("core", 12, 16, 2)
-	run.PhaseBegin("remainder")
-	run.PhaseEnd("remainder")
+	run := tel.Start(RunInfo{Kind: "core", Degree: 12, Mu: 16, Workers: 2})
+	phaseSpan(run, "remainder")
 	run.Finish(OutcomeOK, 3, 777, metrics.Report{})
 
 	srv, err := tel.Serve("127.0.0.1:0")

@@ -17,9 +17,9 @@
 // every call a zero-allocation no-op, so the solver can be plumbed
 // unconditionally and pay nothing when telemetry is disabled.
 //
-// The package depends only on internal/metrics and internal/trace so
-// that sched and core can feed it without an import cycle: sched
-// declares a structural Observer interface that *Run satisfies.
+// The package depends only on internal/metrics, internal/trace and
+// internal/sched so that core can feed it without an import cycle: a
+// *Run subscribes to a solve's sched.Observer stream.
 package telemetry
 
 import (
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"realroots/internal/metrics"
+	"realroots/internal/sched"
 	"realroots/internal/trace"
 )
 
@@ -49,15 +50,6 @@ const (
 // Prometheus exposition.
 var Outcomes = []Outcome{
 	OutcomeOK, OutcomeCanceled, OutcomeDeadline, OutcomeBudget, OutcomePanic, OutcomeError,
-}
-
-// SchedStats mirrors sched.PoolStats without importing the scheduler
-// (sched feeds telemetry, so the dependency must point this way).
-type SchedStats struct {
-	Executed      int64
-	Panics        int64
-	Retries       int64
-	MaxQueueDepth int64
 }
 
 // ControlLane is the flight-recorder lane for run-lifecycle and phase
@@ -197,13 +189,6 @@ type RunInfo struct {
 	RequestID string
 }
 
-// RunStart opens a new solve run and emits its start event; it is
-// Start without a request scope. On a nil hub it returns a nil *Run,
-// on which every method is a zero-allocation no-op.
-func (t *Telemetry) RunStart(kind string, degree int, mu uint, workers int) *Run {
-	return t.Start(RunInfo{Kind: kind, Degree: degree, Mu: mu, Workers: workers})
-}
-
 // Start opens a new solve run and emits its start event. On a nil hub
 // it returns a nil *Run, on which every method is a zero-allocation
 // no-op.
@@ -244,10 +229,10 @@ func (t *Telemetry) Start(info RunInfo) *Run {
 	return r
 }
 
-// Run is one solve's handle into the hub. It is created by RunStart
-// and closed by Finish. Its Task* methods satisfy sched's Observer
-// interface, so a *Run can be installed directly on a worker pool.
-// A nil *Run is valid everywhere and records nothing.
+// Run is one solve's handle into the hub. It is created by Start and
+// closed by Finish; in between it subscribes to the solve's
+// instrumentation stream (Observe). A nil *Run is valid everywhere and
+// records nothing.
 type Run struct {
 	// ID is the process-unique run identifier (1-based).
 	ID        uint64
@@ -261,17 +246,8 @@ type Run struct {
 
 	// sched stats reported before Finish via SchedStats; written by the
 	// run's control goroutine only.
-	sched    SchedStats
+	sched    sched.PoolStats
 	hasSched bool
-}
-
-// RequestID returns the request ID the run was started with (empty for
-// unscoped runs and nil runs).
-func (r *Run) RequestID() string {
-	if r == nil {
-		return ""
-	}
-	return r.requestID
 }
 
 // appendRequestID appends the requestId attribute when the run is
@@ -281,39 +257,6 @@ func (r *Run) appendRequestID(attrs []slog.Attr) []slog.Attr {
 		return attrs
 	}
 	return append(attrs, slog.String("requestId", r.requestID))
-}
-
-// PhaseBegin opens a named pipeline phase (flight-recorder span on the
-// control lane plus a debug-level log event).
-func (r *Run) PhaseBegin(name string) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Begin(r.ID, ControlLane, name, trace.CatPhase)
-	if l := r.tel.logger; l != nil && l.Enabled(context.Background(), slog.LevelDebug) {
-		l.LogAttrs(context.Background(), slog.LevelDebug, "phase begin",
-			r.appendRequestID([]slog.Attr{slog.Uint64("run", r.ID), slog.String("phase", name)})...)
-	}
-}
-
-// PhaseEnd closes the innermost open phase opened with name.
-func (r *Run) PhaseEnd(name string) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.End(r.ID, ControlLane, name)
-	if l := r.tel.logger; l != nil && l.Enabled(context.Background(), slog.LevelDebug) {
-		l.LogAttrs(context.Background(), slog.LevelDebug, "phase end",
-			r.appendRequestID([]slog.Attr{slog.Uint64("run", r.ID), slog.String("phase", name)})...)
-	}
-}
-
-// Event records a point event on the run's control lane.
-func (r *Run) Event(name string, value int64) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Event(r.ID, ControlLane, name, value)
 }
 
 // BudgetExhausted records the bit-operation budget tripping. It may be
@@ -332,7 +275,7 @@ func (r *Run) BudgetExhausted(bitOps int64) {
 
 // SchedStats reports the run's final scheduler statistics; call it
 // before Finish (typically from a defer capturing pool.Stats()).
-func (r *Run) SchedStats(s SchedStats) {
+func (r *Run) SchedStats(s sched.PoolStats) {
 	if r == nil {
 		return
 	}
@@ -380,54 +323,67 @@ func (r *Run) Finish(o Outcome, roots int, bitOps int64, rep metrics.Report) {
 	}
 }
 
-// TaskStart records a scheduler task beginning on a worker lane. With
-// TaskDone, TaskPanic, and TaskRetry it satisfies sched's Observer
-// interface.
-func (r *Run) TaskStart(worker int, tag string) {
+// Observe records one event of the solve's instrumentation stream
+// (sched.Observer). Phases become control-lane flight spans plus
+// debug-level log events; pool tasks become flight spans on their
+// worker's lane; panics and retries become flight events plus log
+// records. The tasks a sequential solve runs on its own goroutine are
+// not recorded — except the Sturm baseline's single task, which has no
+// phases around it and so is recorded as the run's phase.
+func (r *Run) Observe(e sched.Event) {
 	if r == nil {
 		return
 	}
-	r.tel.flight.Begin(r.ID, worker, tag, trace.CatTask)
+	switch e.Kind {
+	case sched.PhaseBegin, sched.PhaseEnd:
+		r.phase(e.Name, e.Kind == sched.PhaseBegin)
+	case sched.TaskStart, sched.TaskDone:
+		begin := e.Kind == sched.TaskStart
+		switch {
+		case e.Worker == ControlLane && r.kind == "sturm":
+			r.phase(e.Name, begin)
+		case e.Worker == ControlLane:
+		case begin:
+			r.tel.flight.Begin(r.ID, e.Worker, e.Name, trace.CatTask)
+		default:
+			r.tel.flight.End(r.ID, e.Worker, e.Name)
+		}
+	case sched.TaskPanic:
+		r.tel.flight.Event(r.ID, e.Worker, "panic:"+e.Name, 0)
+		if l := r.tel.logger; l != nil {
+			l.LogAttrs(context.Background(), slog.LevelError, "task panic",
+				r.appendRequestID([]slog.Attr{
+					slog.Uint64("run", r.ID),
+					slog.Int("worker", e.Worker),
+					slog.String("task", e.Name),
+					slog.Any("value", e.Value),
+				})...)
+		}
+	case sched.TaskRetry:
+		r.tel.flight.Event(r.ID, ControlLane, "retry:"+e.Name, int64(e.Left))
+		if l := r.tel.logger; l != nil {
+			l.LogAttrs(context.Background(), slog.LevelWarn, "task retry",
+				r.appendRequestID([]slog.Attr{
+					slog.Uint64("run", r.ID),
+					slog.String("task", e.Name),
+					slog.Int("attemptsLeft", e.Left),
+				})...)
+		}
+	}
 }
 
-// TaskDone records a scheduler task finishing on a worker lane.
-func (r *Run) TaskDone(worker int, tag string) {
-	if r == nil {
-		return
+// phase opens or closes a pipeline phase: a control-lane flight span
+// plus a debug-level log event.
+func (r *Run) phase(name string, begin bool) {
+	msg := "phase end"
+	if begin {
+		r.tel.flight.Begin(r.ID, ControlLane, name, trace.CatPhase)
+		msg = "phase begin"
+	} else {
+		r.tel.flight.End(r.ID, ControlLane, name)
 	}
-	r.tel.flight.End(r.ID, worker, tag)
-}
-
-// TaskPanic records a task panic isolated by the scheduler.
-func (r *Run) TaskPanic(worker int, tag string, v any) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Event(r.ID, worker, "panic:"+tag, 0)
-	if l := r.tel.logger; l != nil {
-		l.LogAttrs(context.Background(), slog.LevelError, "task panic",
-			r.appendRequestID([]slog.Attr{
-				slog.Uint64("run", r.ID),
-				slog.Int("worker", worker),
-				slog.String("task", tag),
-				slog.Any("value", v),
-			})...)
-	}
-}
-
-// TaskRetry records a failed attempt being requeued; left is the
-// number of attempts remaining.
-func (r *Run) TaskRetry(tag string, left int) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Event(r.ID, ControlLane, "retry:"+tag, int64(left))
-	if l := r.tel.logger; l != nil {
-		l.LogAttrs(context.Background(), slog.LevelWarn, "task retry",
-			r.appendRequestID([]slog.Attr{
-				slog.Uint64("run", r.ID),
-				slog.String("task", tag),
-				slog.Int("attemptsLeft", left),
-			})...)
+	if l := r.tel.logger; l != nil && l.Enabled(context.Background(), slog.LevelDebug) {
+		l.LogAttrs(context.Background(), slog.LevelDebug, msg,
+			r.appendRequestID([]slog.Attr{slog.Uint64("run", r.ID), slog.String("phase", name)})...)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"realroots/internal/metrics"
+	"realroots/internal/sched"
 )
 
 // logLines parses a JSON-lines slog buffer.
@@ -27,6 +28,18 @@ func logLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 	return out
 }
 
+// phaseSpan streams one phase's begin and end to run.
+func phaseSpan(run *Run, name string) {
+	run.Observe(sched.Event{Kind: sched.PhaseBegin, Name: name, Worker: sched.ControlLane})
+	run.Observe(sched.Event{Kind: sched.PhaseEnd, Name: name, Worker: sched.ControlLane})
+}
+
+// taskSpan streams one pool task's start and done to run.
+func taskSpan(run *Run, worker int, tag string) {
+	run.Observe(sched.Event{Kind: sched.TaskStart, Name: tag, Worker: worker})
+	run.Observe(sched.Event{Kind: sched.TaskDone, Name: tag, Worker: worker})
+}
+
 func findLog(lines []map[string]any, msg string) map[string]any {
 	for _, m := range lines {
 		if m["msg"] == msg {
@@ -41,15 +54,14 @@ func TestRunLifecycleLog(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	tel := New(Config{Logger: logger})
 
-	run := tel.RunStart("core", 20, 16, 4)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 20, Mu: 16, Workers: 4})
 	if run.ID != 1 {
 		t.Fatalf("first run ID = %d", run.ID)
 	}
-	run.PhaseBegin("remainder")
-	run.PhaseEnd("remainder")
+	phaseSpan(run, "remainder")
 	run.BudgetExhausted(12345)
-	run.TaskRetry("chunk", 2)
-	run.TaskPanic(3, "chunk", "boom")
+	run.Observe(sched.Event{Kind: sched.TaskRetry, Name: "chunk", Worker: sched.ControlLane, Left: 2})
+	run.Observe(sched.Event{Kind: sched.TaskPanic, Name: "chunk", Worker: 3, Value: "boom"})
 	run.Finish(OutcomeOK, 5, 999, metrics.Report{})
 
 	lines := logLines(t, &buf)
@@ -109,7 +121,7 @@ func TestFinishLogLevels(t *testing.T) {
 	for _, tc := range cases {
 		var buf bytes.Buffer
 		tel := New(Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
-		tel.RunStart("core", 4, 4, 1).Finish(tc.o, 0, 0, metrics.Report{})
+		tel.Start(RunInfo{Kind: "core", Degree: 4, Mu: 4, Workers: 1}).Finish(tc.o, 0, 0, metrics.Report{})
 		fin := findLog(logLines(t, &buf), "solve finish")
 		if fin == nil || fin["level"] != tc.want {
 			t.Errorf("outcome %s logged at %v, want %s", tc.o, fin["level"], tc.want)
@@ -122,9 +134,8 @@ func TestNoLoggerStillRecords(t *testing.T) {
 	if tel.Logger() != nil {
 		t.Fatal("unexpected logger")
 	}
-	run := tel.RunStart("sturm", 8, 4, 1)
-	run.PhaseBegin("sturm")
-	run.PhaseEnd("sturm")
+	run := tel.Start(RunInfo{Kind: "sturm", Degree: 8, Mu: 4, Workers: 1})
+	phaseSpan(run, "sturm")
 	run.Finish(OutcomeOK, 2, 10, metrics.Report{})
 	if tel.Flight().Written() == 0 {
 		t.Fatal("flight recorder idle without a logger")
@@ -139,27 +150,24 @@ func TestNilHubAndRun(t *testing.T) {
 	if tel.Flight() != nil || tel.Registry() != nil || tel.Logger() != nil {
 		t.Fatal("nil hub handed out non-nil sinks")
 	}
-	run := tel.RunStart("core", 10, 16, 2)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 10, Mu: 16, Workers: 2})
 	if run != nil {
 		t.Fatal("nil hub returned a live run")
 	}
 	// Every method must be callable on the nil run.
-	run.PhaseBegin("a")
-	run.PhaseEnd("a")
-	run.Event("e", 1)
+	phaseSpan(run, "a")
 	run.BudgetExhausted(1)
-	run.SchedStats(SchedStats{})
+	run.SchedStats(sched.PoolStats{})
 	run.Finish(OutcomeOK, 0, 0, metrics.Report{})
-	run.TaskStart(0, "t")
-	run.TaskDone(0, "t")
-	run.TaskPanic(0, "t", nil)
-	run.TaskRetry("t", 1)
+	taskSpan(run, 0, "t")
+	run.Observe(sched.Event{Kind: sched.TaskPanic, Name: "t"})
+	run.Observe(sched.Event{Kind: sched.TaskRetry, Name: "t", Left: 1})
 }
 
 func TestRunIDsAreUnique(t *testing.T) {
 	tel := New(Config{})
-	a := tel.RunStart("core", 4, 4, 1)
-	b := tel.RunStart("sturm", 4, 4, 1)
+	a := tel.Start(RunInfo{Kind: "core", Degree: 4, Mu: 4, Workers: 1})
+	b := tel.Start(RunInfo{Kind: "sturm", Degree: 4, Mu: 4, Workers: 1})
 	if a.ID == b.ID {
 		t.Fatalf("duplicate run IDs: %d", a.ID)
 	}

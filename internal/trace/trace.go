@@ -26,8 +26,11 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
+
+	"realroots/internal/sched"
 )
 
 // Span categories. Phase spans are containers marking a pipeline stage
@@ -42,7 +45,7 @@ const (
 // ControlLane is the conventional lane ID for the orchestrating
 // goroutine (the one calling the solver); scheduler workers use their
 // worker index (0..P-1).
-const ControlLane = -1
+const ControlLane = sched.ControlLane
 
 // A Span is one timed interval on a lane.
 type Span struct {
@@ -173,6 +176,45 @@ func (t *Tracer) Lane(id int, name string) *Lane {
 	}
 	l := &Lane{ID: id, Name: name, tr: t}
 	t.lanes[id] = l
+	return l
+}
+
+// Observe records one event of a solve's instrumentation stream
+// (sched.Observer): phases as phase spans on the control lane, tasks as
+// task spans on the lane of the goroutine that ran them — pool tasks
+// with their queue wait and a "queue depth" counter sample. Each lane's
+// events come from its owning goroutine, so span appends stay lock-free.
+func (t *Tracer) Observe(e sched.Event) {
+	if t == nil {
+		return
+	}
+	switch e.Kind {
+	case sched.PhaseBegin:
+		t.laneFor(ControlLane).Begin(e.Name, CatPhase)
+	case sched.PhaseEnd:
+		t.laneFor(ControlLane).End()
+	case sched.TaskStart:
+		if e.Worker != ControlLane {
+			t.CounterSample("queue depth", int64(e.Depth))
+		}
+		t.laneFor(e.Worker).BeginAt(e.Name, CatTask, e.Wait)
+	case sched.TaskDone:
+		t.laneFor(e.Worker).End()
+	}
+}
+
+// laneFor returns a stream event's lane, creating it on first use.
+func (t *Tracer) laneFor(worker int) *Lane {
+	t.mu.Lock()
+	l := t.lanes[worker]
+	t.mu.Unlock()
+	if l == nil {
+		name := "control"
+		if worker != ControlLane {
+			name = "worker-" + strconv.Itoa(worker)
+		}
+		l = t.Lane(worker, name)
+	}
 	return l
 }
 

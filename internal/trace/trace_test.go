@@ -5,7 +5,44 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"realroots/internal/sched"
 )
+
+// TestObserveStream pins how the tracer records a solve's stream:
+// phases and the orchestrator's tasks on the control lane, pool tasks
+// on worker lanes with their queue wait, one depth sample per dequeue.
+func TestObserveStream(t *testing.T) {
+	tr := New()
+	for _, e := range []sched.Event{
+		{Kind: sched.PhaseBegin, Name: "solve", Worker: sched.ControlLane},
+		{Kind: sched.TaskStart, Name: "sort", Worker: sched.ControlLane},
+		{Kind: sched.TaskDone, Name: "sort", Worker: sched.ControlLane},
+		{Kind: sched.TaskStart, Name: "interval", Worker: 1, Wait: 5 * time.Microsecond, Depth: 4},
+		{Kind: sched.TaskPanic, Name: "interval", Worker: 1},
+		{Kind: sched.TaskDone, Name: "interval", Worker: 1},
+		{Kind: sched.PhaseEnd, Name: "solve", Worker: sched.ControlLane},
+	} {
+		tr.Observe(e)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	lanes := tr.Lanes()
+	if len(lanes) != 2 || lanes[0].Name != "control" || lanes[1].Name != "worker-1" {
+		t.Fatalf("lanes = %+v", lanes)
+	}
+	ctl, w := lanes[0].Spans(), lanes[1].Spans()
+	if len(ctl) != 2 || ctl[0].Cat != CatPhase || ctl[1].Cat != CatTask || ctl[1].Parent != 0 {
+		t.Fatalf("control lane = %+v", ctl)
+	}
+	if len(w) != 1 || w[0].Name != "interval" || w[0].Cat != CatTask || w[0].Wait != 5*time.Microsecond {
+		t.Fatalf("worker lane = %+v", w)
+	}
+	if c := tr.Counters(); len(c) != 1 || c[0].Name != "queue depth" || c[0].Value != 4 {
+		t.Fatalf("counters = %+v", c)
+	}
+}
 
 func TestSpanNesting(t *testing.T) {
 	tr := New()
@@ -131,6 +168,8 @@ func TestNilTracerNoAllocs(t *testing.T) {
 		lane.BeginAt("interval", CatTask, 0)
 		lane.End()
 		tr.CounterSample("queue", 7)
+		tr.Observe(sched.Event{Kind: sched.TaskStart, Name: "interval", Worker: 3, Depth: 7})
+		tr.Observe(sched.Event{Kind: sched.TaskDone, Name: "interval", Worker: 3})
 		_ = tr.Now()
 	}); n != 0 {
 		t.Errorf("nil-tracer hot path allocates %.1f objects/op, want 0", n)

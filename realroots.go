@@ -39,6 +39,7 @@ import (
 	"realroots/internal/mp"
 	"realroots/internal/poly"
 	"realroots/internal/remseq"
+	"realroots/internal/sched"
 	"realroots/internal/sturm"
 	"realroots/internal/telemetry"
 	"realroots/internal/trace"
@@ -347,20 +348,6 @@ func withTimeout(ctx context.Context, o *Options) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// partialResult converts core's stats-only Result of an interrupted run.
-func partialResult(res *core.Result, degree int, mu uint, start time.Time) *Result {
-	if res == nil {
-		return nil
-	}
-	return &Result{
-		Degree:     degree,
-		Precision:  mu,
-		Elapsed:    time.Since(start),
-		Precompute: res.Stats.Precompute,
-		TreeSolve:  res.Stats.TreeSolve,
-	}
-}
-
 func findRoots(ctx context.Context, p *poly.Poly, opts *Options) (*Result, error) {
 	start := time.Now()
 	co := opts.coreOptions()
@@ -373,35 +360,41 @@ func findRoots(ctx context.Context, p *poly.Poly, opts *Options) (*Result, error
 
 	var roots []Root
 	var stats core.Stats
+	var err error
 	if p.IsSquarefree() {
-		res, err := core.FindRoots(p, co)
-		if err != nil {
-			return partialResult(res, p.Degree(), co.Mu, start), wrapErr(err)
+		var res *core.Result
+		res, err = core.FindRoots(p, co)
+		if res != nil {
+			stats = res.Stats
+			roots = make([]Root, 0, len(res.Roots))
+			for _, r := range res.Roots {
+				roots = append(roots, Root{Value: r.Rat(), Multiplicity: 1})
+			}
 		}
-		roots = make([]Root, len(res.Roots))
-		for i, r := range res.Roots {
-			roots[i] = Root{Value: r.Rat(), Multiplicity: 1}
-		}
-		stats = res.Stats
 	} else {
-		rm, err := core.FindRootsWithMultiplicity(p, co)
-		if err != nil {
-			return nil, wrapErr(err)
-		}
-		roots = make([]Root, len(rm))
-		for i, r := range rm {
-			roots[i] = Root{Value: r.Root.Rat(), Multiplicity: r.Mult}
+		var rm []core.RootMult
+		rm, stats, err = core.FindRootsWithMultiplicity(p, co)
+		roots = make([]Root, 0, len(rm))
+		for _, r := range rm {
+			roots = append(roots, Root{Value: r.Root.Rat(), Multiplicity: r.Mult})
 		}
 	}
-	return &Result{
-		Roots:      roots,
+	out := &Result{
 		Degree:     p.Degree(),
-		Distinct:   len(roots),
 		Precision:  co.Mu,
 		Elapsed:    time.Since(start),
 		Precompute: stats.Precompute,
 		TreeSolve:  stats.TreeSolve,
-	}, nil
+	}
+	if err != nil {
+		if !core.IsResilience(err) {
+			out = nil
+		}
+		// An interrupted run reports the stage times it reached, never roots.
+		return out, wrapErr(err)
+	}
+	out.Roots, out.Distinct = roots, len(roots)
+	return out, nil
 }
 
 func wrapErr(err error) error {
@@ -494,24 +487,12 @@ func FindRealRootsContext(ctx context.Context, coeffs []*big.Int, opts *Options)
 	})
 	var counters metrics.Counters
 	counters.SetBudget(co.MaxBitOps, func() { run.BudgetExhausted(counters.BitOps()) })
-	stop := func() error {
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				return ErrDeadline
-			}
-			return ErrCanceled
-		}
-		if counters.BudgetExceeded() {
-			return ErrBudgetExceeded
-		}
-		return nil
-	}
-	ctl := co.Tracer.Lane(trace.ControlLane, "control")
-	ctl.Begin("sturm", trace.CatTask)
-	run.PhaseBegin("sturm")
+	stop := core.Checkpoint(ctx, &counters)
+	// The baseline is one sequential task on the caller's goroutine.
+	obs := core.Subscribers(co.Tracer, run, nil)
+	obs.Observe(sched.Event{Kind: sched.TaskStart, Name: "sturm", Worker: sched.ControlLane})
 	ds, err := sturm.FindRootsStop(p, co.Mu, metrics.Ctx{C: &counters, Profile: co.Profile}, stop)
-	run.PhaseEnd("sturm")
-	ctl.End()
+	obs.Observe(sched.Event{Kind: sched.TaskDone, Name: "sturm", Worker: sched.ControlLane})
 	if run != nil {
 		nroots := 0
 		if err == nil {

@@ -25,22 +25,45 @@ func wilkinsonCoeffs(n int64) []*big.Int {
 	return c
 }
 
+// repeatedCoeffs is (x-1)²(x-2), which the public API solves through
+// the Yun factors rather than one squarefree pipeline run.
+var repeatedCoeffs = []*big.Int{big.NewInt(-2), big.NewInt(5), big.NewInt(-4), big.NewInt(1)}
+
 func TestFindRootsContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	for _, in := range []struct {
+		name   string
+		coeffs []*big.Int
+	}{
+		{"wilkinson10", wilkinsonCoeffs(10)},
+		{"repeated", repeatedCoeffs},
+	} {
+		for _, workers := range []int{0, 4} {
+			res, err := FindRootsContext(ctx, in.coeffs, &Options{Workers: workers})
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%s workers=%d: err = %v, want ErrCanceled", in.name, workers, err)
+			}
+			if res == nil {
+				t.Fatalf("%s workers=%d: no partial result", in.name, workers)
+			}
+			if len(res.Roots) != 0 {
+				t.Fatalf("%s workers=%d: canceled run returned roots", in.name, workers)
+			}
+			if want := len(in.coeffs) - 1; res.Degree != want {
+				t.Fatalf("%s workers=%d: partial Degree = %d, want %d", in.name, workers, res.Degree, want)
+			}
+		}
+	}
+	// The same input, uncanceled, reports the Yun factors' summed stage
+	// times.
 	for _, workers := range []int{0, 4} {
-		res, err := FindRootsContext(ctx, wilkinsonCoeffs(10), &Options{Workers: workers})
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
+		res, err := FindRootsContext(context.Background(), repeatedCoeffs, &Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("repeated workers=%d: %v", workers, err)
 		}
-		if res == nil {
-			t.Fatalf("workers=%d: no partial result", workers)
-		}
-		if len(res.Roots) != 0 {
-			t.Fatalf("workers=%d: canceled run returned roots", workers)
-		}
-		if res.Degree != 10 {
-			t.Fatalf("workers=%d: partial Degree = %d", workers, res.Degree)
+		if res.Distinct != 2 || res.TreeSolve <= 0 {
+			t.Fatalf("repeated workers=%d: Distinct=%d TreeSolve=%v, want 2 roots and TreeSolve > 0", workers, res.Distinct, res.TreeSolve)
 		}
 	}
 }
