@@ -9,14 +9,20 @@
 // hub. SIGINT/SIGTERM drain gracefully: in-flight solves finish under
 // -drain-timeout, then the process exits.
 //
-// Every solve is traced (bounded span capture) and tail-sampled: the
-// trace is retained in /debug/traces when the solve errored, exceeded
-// its budget, ran slower than the rolling -tail-quantile, parallelized
-// below -tail-min-efficiency, or carried an X-Debug-Trace header.
-// Retained traces download as Chrome trace-event JSON from
-// /debug/traces/<seq>. Per-tenant usage (bit ops, solve seconds, cache
-// hits, rejections, retained traces) accumulates in /debug/tenants and
-// the rootd_tenant_* metric families.
+// Every request gets one record in the telemetry hub's request
+// tracker, kept in a ring of the newest 128 finished requests and
+// browsable at /debug/requests. Every solve is traced (bounded span
+// capture, 4096 spans per lane) and tail-sampled: the trace stays with
+// its request's record when the solve errored, exceeded its budget, ran
+// slower than the rolling p95 of recent solves, parallelized below 25%
+// efficiency, or carried an X-Debug-Trace header. /debug/traces lists
+// the retained traces of the records still in the ring, and each
+// downloads as Chrome trace-event JSON from /debug/traces/<seq>. Each
+// finished record folds into its tenant's usage row (bit ops, solve
+// seconds, cache hits, rejections, retained traces), shown at
+// /debug/tenants and in the rootd_tenant_* metric families; the first
+// 64 tenants get their own row and label value, later ones share
+// "other". -no-trace turns tracing off.
 //
 // Every request carries an end-to-end ID: the client's X-Request-Id
 // header (or a generated one), echoed in the response header and body
@@ -82,10 +88,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		cacheSize    = fs.Int("cache", 256, "LRU result-cache entries (-1 disables)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "in-flight deadline on shutdown")
 		quiet        = fs.Bool("quiet", false, "suppress the structured solve log")
-		traceStore   = fs.Int("trace-store", 0, "retained-trace ring capacity (0 = 64; -1 disables the store)")
-		traceSpans   = fs.Int("trace-max-spans", 0, "per-lane span cap for always-on solve tracing (0 = 4096)")
-		tailQuantile = fs.Float64("tail-quantile", 0, "rolling latency quantile above which traces are retained (0 = 0.95; >=1 disables slow retention)")
-		tailMinEff   = fs.Float64("tail-min-efficiency", 0, "parallel-efficiency floor below which traces are retained (0 = 0.25; negative disables)")
 		noTrace      = fs.Bool("no-trace", false, "disable always-on solve tracing (tail sampling and efficiency gauges stop)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -112,17 +114,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		RatePerSec:        *rate,
 		Burst:             *burst,
 		CacheEntries:      *cacheSize,
-		TraceMaxSpans:     *traceSpans,
 		DisableTracing:    *noTrace,
-		Telemetry: telemetry.New(telemetry.Config{
-			Logger:             logger,
-			TraceStoreCapacity: *traceStore,
-			Tail: telemetry.TailConfig{
-				Quantile:      *tailQuantile,
-				MinEfficiency: *tailMinEff,
-			},
-		}),
-		Logger: logger,
+		Telemetry:         telemetry.New(telemetry.Config{Logger: logger}),
+		Logger:            logger,
 	})
 	running, err := srv.ListenAndServe(*addr)
 	if err != nil {

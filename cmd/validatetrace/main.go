@@ -3,8 +3,8 @@
 // (rootbench -trace), flight-recorder dumps (rootbench -flight-out or
 // GET /debug/flight), Prometheus text expositions (rootbench
 // -metrics-out or GET /metrics), request-inspector dumps (GET
-// /debug/requests?format=json), tail-sampled trace stores (GET
-// /debug/traces?format=json), per-tenant usage ledgers (GET
+// /debug/requests?format=json), retained-trace indexes (GET
+// /debug/traces?format=json), per-tenant usage rows (GET
 // /debug/tenants?format=json), and bench-grid JSON (rootbench -json).
 // The file kind is sniffed from the content, so CI can pass all of them
 // in one call.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"realroots/internal/harness"
 	"realroots/internal/telemetry"
@@ -47,17 +48,18 @@ func TestValidateFileSniffsKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Trace store (empty is valid) and tenant ledger dumps.
-	var storeDump bytes.Buffer
-	if err := json.NewEncoder(&storeDump).Encode(trace.NewStore(0).Dump()); err != nil {
-		t.Fatal(err)
-	}
-	led := telemetry.NewTenantLedger(0)
-	led.AddRequest("acme")
-	led.AddSolve("acme", 0.25, 1000)
-	var tenantsDump bytes.Buffer
-	if err := json.NewEncoder(&tenantsDump).Encode(led.Dump()); err != nil {
-		t.Fatal(err)
+	// The request tracker's three views: one request that led a solve
+	// whose (forced) trace was retained.
+	tracker := telemetry.NewRequestTracker(0)
+	r := tracker.Start(telemetry.RequestInfo{ID: "r1", Tenant: "acme", Kind: "solve"})
+	r.Led(telemetry.LedSolve{Elapsed: 250 * time.Millisecond, BitOps: 1000, Outcome: telemetry.OutcomeOK, Tracer: trace.New(), Forced: true})
+	r.Finish("ok")
+	encode := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 
 	cases := []struct {
@@ -68,8 +70,9 @@ func TestValidateFileSniffsKinds(t *testing.T) {
 		{"flight.json", flight.Bytes(), "flight-dump"},
 		{"metrics.prom", expo.Bytes(), "prometheus-exposition"},
 		{"grid.json", grid.Bytes(), "bench-grid"},
-		{"traces.json", storeDump.Bytes(), "trace-store"},
-		{"tenants.json", tenantsDump.Bytes(), "tenants-dump"},
+		{"requests.json", encode(tracker.Dump()), "requests-dump"},
+		{"traces.json", encode(tracker.Traces()), "trace-store"},
+		{"tenants.json", encode(tracker.Tenants()), "tenants-dump"},
 	}
 	for _, tc := range cases {
 		kind, err := validateFile(writeTemp(t, tc.name, tc.data))
@@ -100,8 +103,8 @@ func TestValidateFileRejectsCorrupt(t *testing.T) {
 }
 
 // TestValidateFileRejectsMalformedStoreAndTenants is the malformed-input
-// table for the two schemas this PR adds: each case sniffs to the right
-// kind (the schema string is present) but must fail validation.
+// table for the request tracker's three dumps: each case sniffs to the
+// right kind (the schema string is present) but must fail validation.
 func TestValidateFileRejectsMalformedStoreAndTenants(t *testing.T) {
 	cases := []struct {
 		name string
@@ -109,6 +112,10 @@ func TestValidateFileRejectsMalformedStoreAndTenants(t *testing.T) {
 	}{
 		{"store-not-json", `realroots/trace-store/v1 this is not json`},
 		{"store-zero-capacity", `{"schema":"realroots/trace-store/v1","capacity":0,"traces":[]}`},
+		{"store-over-capacity", `{"schema":"realroots/trace-store/v1","capacity":1,"seen":2,"retained":2,
+			"byReason":{"error":2},
+			"traces":[{"seq":2,"requestId":"b","outcome":"error","reason":"error"},
+			          {"seq":1,"requestId":"a","outcome":"error","reason":"error"}]}`},
 		{"store-retained-undercount", `{"schema":"realroots/trace-store/v1","capacity":4,"seen":1,"retained":0,
 			"byReason":{"error":1},
 			"traces":[{"seq":1,"requestId":"r1","outcome":"error","reason":"error","wallSeconds":0.1}]}`},
@@ -131,6 +138,17 @@ func TestValidateFileRejectsMalformedStoreAndTenants(t *testing.T) {
 		{"store-serial-fraction-above-one", `{"schema":"realroots/trace-store/v1","capacity":4,"seen":1,"retained":1,
 			"byReason":{"error":1},
 			"traces":[{"seq":1,"requestId":"r1","outcome":"error","reason":"error","serialFraction":1.5}]}`},
+		{"requests-not-json", `realroots/requests/v2 {{{`},
+		{"requests-total-under-full-ring", `{"schema":"realroots/requests/v2","capacity":2,"total":0,"recent":[
+			{"id":"a","active":false,"outcome":"ok"},{"id":"b","active":false,"outcome":"ok"}]}`},
+		{"requests-total-under-active", `{"schema":"realroots/requests/v2","capacity":4,"total":0,
+			"active":[{"id":"a","active":true}]}`},
+		{"requests-over-capacity", `{"schema":"realroots/requests/v2","capacity":1,"total":2,"recent":[
+			{"id":"a","active":false,"outcome":"ok"},{"id":"b","active":false,"outcome":"ok"}]}`},
+		{"requests-missing-outcome", `{"schema":"realroots/requests/v2","capacity":4,"total":1,
+			"recent":[{"id":"a","active":false}]}`},
+		{"requests-trace-reason-without-seq", `{"schema":"realroots/requests/v2","capacity":4,"total":1,
+			"recent":[{"id":"a","active":false,"outcome":"ok","traceReason":"forced"}]}`},
 		{"tenants-not-json", `realroots/tenants/v1 {{{`},
 		{"tenants-zero-cap", `{"schema":"realroots/tenants/v1","maxTenants":0,"tenants":[]}`},
 		{"tenants-empty-id", `{"schema":"realroots/tenants/v1","maxTenants":64,

@@ -13,9 +13,10 @@ import (
 
 // Post-solve observability: every flight-leader solve ends here, where
 // the recorded trace is condensed into the paper's quantities
-// (parallel efficiency, serial fraction, per-phase walls), fed to the
-// tail sampler for retention, charged to the tenant ledger, and folded
-// into the EWMAs the admission charge learns from.
+// (parallel efficiency, serial fraction, per-phase walls), handed with
+// the solve's cost to the leader's request record (which puts it to the
+// tail sampler and charges the tenant), and folded into the EWMAs the
+// admission charge learns from.
 
 // EWMA and clamp tuning for the learned admission corrections.
 const (
@@ -34,68 +35,40 @@ const (
 // worth retaining), after the solver has fully stopped — the tracer is
 // quiescent and safe to read.
 func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Time, elapsed time.Duration, bitOps int64, err error) {
-	// Ledger: the leader's solve is charged to its tenant even when it
-	// fails — the wall time and bit ops were spent either way.
-	led := s.cfg.Telemetry.Tenants()
-	led.AddSolve(p.tenant, elapsed.Seconds(), bitOps)
-
 	outcome := outcomeFor(err)
 	if err == nil && p.estimate > 0 && bitOps > 0 {
 		s.updateEWMA(&s.learnedRatio, float64(bitOps)/float64(p.estimate))
 	}
 
-	if tracer == nil {
-		return
+	led := telemetry.LedSolve{
+		Start: start, Elapsed: elapsed, BitOps: bitOps, Outcome: outcome,
+		Workers: p.workers, Tracer: tracer, Forced: p.forceTrace,
 	}
-	spans := tracer.SpanCount()
-	dropped := tracer.DroppedSpans()
-	s.spanOverhead.Add(float64(spans+dropped) * s.spanCost)
-
-	sum := tracer.Summarize()
-	eff := sum.Efficiency(p.workers)
-	if sum.Wall > 0 {
-		s.serialFrac.Store(sum.SerialFraction)
-		if p.workers > 1 {
-			s.parEff.Store(eff)
-			if err == nil {
-				s.updateEWMA(&s.learnedEff, eff)
+	if tracer != nil {
+		s.spanOverhead.Add(float64(tracer.SpanCount()+tracer.DroppedSpans()) * s.spanCost)
+		sum := tracer.Summarize()
+		led.Efficiency, led.SerialFraction = sum.Efficiency(p.workers), sum.SerialFraction
+		if sum.Wall > 0 {
+			s.serialFrac.Store(sum.SerialFraction)
+			if p.workers > 1 {
+				s.parEff.Store(led.Efficiency)
+				if err == nil {
+					s.updateEWMA(&s.learnedEff, led.Efficiency)
+				}
 			}
 		}
-	}
-	for _, ph := range sum.Phases {
-		s.phaseHist.With(ph.Name).Observe(ph.Wall.Seconds(), p.requestID)
+		for _, ph := range sum.Phases {
+			s.phaseHist.With(ph.Name).Observe(ph.Wall.Seconds(), p.requestID)
+		}
 	}
 
-	// Tail sampling: the sampler sees every solve (its rolling latency
-	// quantile needs the full population) and returns a retention
-	// reason only for the interesting tail.
-	store := s.cfg.Telemetry.Traces()
-	store.NoteSeen()
-	reason := s.cfg.Telemetry.TailSampler().Consider(telemetry.TraceInfo{
-		Forced:     p.forceTrace,
-		Outcome:    outcome,
-		Seconds:    elapsed.Seconds(),
-		Workers:    p.workers,
-		Efficiency: eff,
-	})
-	if reason == "" || store == nil {
-		return
+	// The leader's record is charged with the solve even when it failed
+	// (the wall time and bit ops were spent either way), and the tail
+	// sampler, which must see every traced solve for its rolling
+	// latency quantile, decides whether the record keeps the trace.
+	if reason := p.tracker.Led(led); reason != "" {
+		s.traceKept.Add(reason, 1)
 	}
-	store.Add(trace.RetainedTrace{
-		RequestID:      p.requestID,
-		Tenant:         p.tenant,
-		Outcome:        string(outcome),
-		Reason:         reason,
-		Start:          start,
-		WallSeconds:    elapsed.Seconds(),
-		Workers:        p.workers,
-		Efficiency:     eff,
-		SerialFraction: sum.SerialFraction,
-		Spans:          spans,
-		DroppedSpans:   dropped,
-	}, tracer)
-	s.traceKept.Add(reason, 1)
-	led.AddRetainedTrace(p.tenant)
 }
 
 // outcomeFor maps a solver error to the telemetry outcome taxonomy the

@@ -64,18 +64,13 @@ type Config struct {
 	// CacheEntries is the LRU result-cache capacity (default 256;
 	// negative disables caching).
 	CacheEntries int
-	// TraceMaxSpans caps the always-on per-solve tracer at this many
-	// spans per lane (default 4096). The cap bounds each request's
-	// trace memory regardless of solve size; spans beyond it are
-	// counted as dropped, not recorded.
-	TraceMaxSpans int
 	// DisableTracing turns off always-on per-solve tracing entirely:
 	// no spans are recorded, the tail sampler retains nothing, and the
 	// trace-derived gauges (parallel efficiency, serial fraction) stop
 	// updating. Admission still works from the static cost model.
 	DisableTracing bool
-	// Telemetry is the hub serving /metrics, /debug/flight, and the
-	// solve log; nil creates a logger-less hub.
+	// Telemetry is the hub serving /metrics, the /debug inspectors,
+	// and the solve log; nil creates a logger-less hub.
 	Telemetry *telemetry.Telemetry
 	// Logger receives request-level logs; nil disables them.
 	Logger *slog.Logger
@@ -90,6 +85,11 @@ type Config struct {
 	// solves (workers ≥ 2).
 	Faults func(seq uint64, ctx context.Context, cancel context.CancelFunc) sched.Observer
 }
+
+// traceMaxSpans caps the always-on per-solve tracer at this many spans
+// per lane. The cap bounds each request's trace memory regardless of
+// solve size; spans beyond it are counted as dropped, not recorded.
+const traceMaxSpans = 4096
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -113,9 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
-	if c.TraceMaxSpans <= 0 {
-		c.TraceMaxSpans = 4096
-	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.New(telemetry.Config{})
 	}
@@ -131,6 +128,9 @@ type Server struct {
 	queue   *fairQueue
 	limiter *rateLimiter
 	cache   *resultCache
+	// requests is the hub's request tracker: one record per decoded
+	// request, and the one tenant cap for rows and label values.
+	requests *telemetry.RequestTracker
 
 	baseCtx    context.Context // canceled to abort all in-flight solves
 	baseCancel context.CancelFunc
@@ -174,25 +174,16 @@ type Server struct {
 	serialFrac   telemetry.Float64 // rootd_serial_fraction
 	learnedEff   telemetry.Float64 // EWMA of measured parallel efficiency
 	learnedRatio telemetry.Float64 // EWMA of measured/estimated bit ops
-
-	// tenants caps the tenant label's cardinality (see tenantLabel).
-	tenantMu sync.Mutex
-	tenants  map[string]bool
 }
-
-// maxTenantSeries bounds distinct tenant label values on the per-tenant
-// histograms; tenants beyond the cap share the "other" series so a
-// tenant-name flood cannot grow the exposition without bound.
-const maxTenantSeries = 32
 
 // New creates a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		queue:   newFairQueue(cfg.MaxConcurrent, cfg.MaxQueue),
-		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
-		tenants: map[string]bool{},
+		cfg:      cfg,
+		queue:    newFairQueue(cfg.MaxConcurrent, cfg.MaxQueue),
+		limiter:  newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
+		requests: cfg.Telemetry.Requests(),
 	}
 	// The admission corrections start neutral (×1) and learn from
 	// completed solves; see observeSolve.
@@ -273,25 +264,7 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 	reg.RegisterGaugeFunc("rootd_learned_efficiency",
 		"EWMA of measured parallel efficiency over completed parallel solves; the admission charge divides by it for parallel requests (clamped).",
 		s.learnedEff.Load)
-	reg.RegisterTenantFamilies(s.cfg.Telemetry.Tenants())
-}
-
-// tenantLabel maps a tenant to its histogram label value, capping the
-// number of distinct values at maxTenantSeries.
-func (s *Server) tenantLabel(tenant string) string {
-	if tenant == "" {
-		return "anonymous"
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if s.tenants[tenant] {
-		return tenant
-	}
-	if len(s.tenants) >= maxTenantSeries {
-		return "other"
-	}
-	s.tenants[tenant] = true
-	return tenant
+	reg.RegisterTenantFamilies(s.requests)
 }
 
 // newRequestID generates a server-side request ID for clients that did
@@ -396,11 +369,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// cached result without running, so there is nothing to trace).
 	req.ForceTrace = r.Header.Get("X-Debug-Trace") != ""
 	if ok, retry := s.limiter.Allow(req.Tenant); !ok {
-		// Rate-limited requests never reach Solve, so their ledger
-		// accounting happens here.
-		led := s.cfg.Telemetry.Tenants()
-		led.AddRequest(req.Tenant)
-		led.AddRejection(req.Tenant)
+		// Rate-limited requests never reach Solve, so their record
+		// starts and finishes here.
+		s.requests.Start(telemetry.RequestInfo{
+			ID: reqID, Tenant: req.Tenant, Kind: "solve", Degree: req.degree(),
+		}).Reject(CodeRateLimited)
 		s.failRetry(w, start, req.Tenant, reqID, &RequestError{
 			Code: CodeRateLimited,
 			Msg:  fmt.Sprintf("tenant %q is over its request rate", req.Tenant),
@@ -416,7 +389,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.reqCodes.Add("ok", 1)
 	s.reqSeconds.Add(elapsed.Seconds())
-	s.reqHist.With(s.tenantLabel(req.Tenant)).Observe(elapsed.Seconds(), reqID)
+	s.reqHist.With(s.requests.TenantLabel(req.Tenant)).Observe(elapsed.Seconds(), reqID)
 	if l := s.cfg.Logger; l != nil {
 		l.LogAttrs(r.Context(), slog.LevelInfo, "request ok",
 			slog.String("requestId", reqID),
@@ -461,7 +434,7 @@ func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 		req.RequestID = newRequestID() // in-process callers may skip the handler
 	}
 
-	tr := s.cfg.Telemetry.Requests().Start(telemetry.RequestInfo{
+	tr := s.requests.Start(telemetry.RequestInfo{
 		ID:              req.RequestID,
 		Tenant:          req.Tenant,
 		Kind:            "solve",
@@ -471,9 +444,6 @@ func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 		Mu:              mu,
 		EstimatedBitOps: estimate,
 	})
-
-	led := s.cfg.Telemetry.Tenants()
-	led.AddRequest(req.Tenant)
 
 	key := req.cacheKey(mu, profile, method.String())
 	resp, outcome, err := s.cache.Do(ctx, key, func() (*SolveResponse, error) {
@@ -487,18 +457,13 @@ func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 	})
 	tr.SetCacheOutcome(outcome)
 	if err != nil {
-		code := AsRequestError(err).Code
-		switch code {
+		switch code := AsRequestError(err).Code; code {
 		case CodeOverloaded, CodeQueueFull, CodeDraining:
-			led.AddRejection(req.Tenant)
+			tr.Reject(code)
 		default:
-			led.AddError(req.Tenant)
+			tr.Finish(code)
 		}
-		tr.Finish(code)
 		return nil, err
-	}
-	if outcome != "miss" {
-		led.AddCacheHit(req.Tenant)
 	}
 	if resp.Metrics != nil {
 		// For cache hits and joins these are the original solve's
@@ -567,7 +532,7 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	}
 	wait := time.Since(waitStart)
 	p.tracker.SetQueueWait(wait)
-	s.queueHist.With(s.tenantLabel(p.tenant)).Observe(wait.Seconds(), p.requestID)
+	s.queueHist.With(s.requests.TenantLabel(p.tenant)).Observe(wait.Seconds(), p.requestID)
 	defer s.queue.Release()
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -579,7 +544,7 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	// tracer; observeSolve decides afterwards whether to keep them.
 	var tracer *trace.Tracer
 	if !s.cfg.DisableTracing {
-		tracer = trace.NewLimited(s.cfg.TraceMaxSpans)
+		tracer = trace.NewLimited(traceMaxSpans)
 	}
 
 	opts := core.Options{
@@ -721,7 +686,7 @@ func (s *Server) failRetry(w http.ResponseWriter, start time.Time, tenant, reqID
 	elapsed := time.Since(start)
 	s.reqCodes.Add(re.Code, 1)
 	s.reqSeconds.Add(elapsed.Seconds())
-	s.reqHist.With(s.tenantLabel(tenant)).Observe(elapsed.Seconds(), reqID)
+	s.reqHist.With(s.requests.TenantLabel(tenant)).Observe(elapsed.Seconds(), reqID)
 	if l := s.cfg.Logger; l != nil {
 		l.LogAttrs(context.Background(), slog.LevelWarn, "request failed",
 			slog.String("requestId", reqID),

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"realroots/internal/trace"
 )
@@ -25,24 +24,15 @@ func getBody(t *testing.T, url string) (int, string) {
 }
 
 func TestDebugTracesAndTenantsEndpoints(t *testing.T) {
-	tel := New(Config{TraceStoreCapacity: 8})
-	if tel.Traces() == nil || tel.TailSampler() == nil || tel.Tenants() == nil {
-		t.Fatal("hub did not wire store/sampler/ledger")
-	}
+	tel := New(Config{})
 
-	// Retain one error trace and account one tenant.
+	// One request retains an error trace and is accounted to its tenant.
 	tr := trace.New()
 	tr.SetRequestID("req-1")
 	l := tr.Lane(trace.ControlLane, "control")
 	l.Begin("solve", trace.CatPhase)
 	l.End()
-	tel.Traces().NoteSeen()
-	seq := tel.Traces().Add(trace.RetainedTrace{
-		RequestID: "req-1", Tenant: "acme", Outcome: "error",
-		Reason: trace.ReasonError, Start: time.Now(),
-		WallSeconds: 0.1, Workers: 2, Spans: 1,
-	}, tr)
-	tel.Tenants().AddRequest("acme")
+	leadAndFinish(tel.Requests(), "req-1", "acme", tr)
 
 	srv, err := tel.Serve("127.0.0.1:0")
 	if err != nil {
@@ -65,14 +55,20 @@ func TestDebugTracesAndTenantsEndpoints(t *testing.T) {
 
 	// HTML index renders with a link to the Chrome export.
 	code, body = getBody(t, base+"/debug/traces")
-	if code != http.StatusOK || !strings.Contains(body, "req-1") {
+	if code != http.StatusOK || !strings.Contains(body, "req-1") || !strings.Contains(body, `href="/debug/traces/1"`) {
 		t.Fatalf("/debug/traces html: status %d, body %q", code, body)
+	}
+
+	// The request's row names its retained trace.
+	code, body = getBody(t, base+"/debug/requests?format=json")
+	if code != http.StatusOK || !strings.Contains(body, `"traceSeq": 1`) {
+		t.Fatalf("/debug/requests: status %d, row does not name trace 1: %s", code, body)
 	}
 
 	// Per-trace Chrome export download.
 	code, body = getBody(t, base+"/debug/traces/1")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/traces/%d status %d", seq, code)
+		t.Fatalf("/debug/traces/1 status %d", code)
 	}
 	if err := trace.ValidateChrome([]byte(body)); err != nil {
 		t.Fatalf("chrome export invalid: %v", err)
@@ -95,24 +91,5 @@ func TestDebugTracesAndTenantsEndpoints(t *testing.T) {
 	code, body = getBody(t, base+"/debug/tenants")
 	if code != http.StatusOK || !strings.Contains(body, "acme") {
 		t.Fatalf("/debug/tenants html: status %d", code)
-	}
-}
-
-func TestDebugTracesDisabled(t *testing.T) {
-	tel := New(Config{TraceStoreCapacity: -1})
-	if tel.Traces() != nil || tel.TailSampler() != nil {
-		t.Fatal("negative capacity should disable the store and sampler")
-	}
-	// The ledger stays on regardless.
-	if tel.Tenants() == nil {
-		t.Fatal("ledger disabled")
-	}
-	srv, err := tel.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if code, _ := getBody(t, "http://"+srv.Addr()+"/debug/traces"); code != http.StatusNotFound {
-		t.Fatalf("/debug/traces with store disabled: status %d, want 404", code)
 	}
 }

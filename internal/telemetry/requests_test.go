@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"realroots/internal/sched"
+	"realroots/internal/trace"
 )
 
 func TestRequestTrackerLifecycle(t *testing.T) {
@@ -92,13 +93,144 @@ func TestNilRequestTracker(t *testing.T) {
 	r.SetCacheOutcome("miss")
 	r.SetQueueWait(time.Second)
 	r.SetSolve(time.Second, 1, 1)
+	if reason := r.Led(LedSolve{Forced: true, Tracer: recordedTracer(t, 1)}); reason != "" {
+		t.Errorf("nil handle retained a trace as %q", reason)
+	}
 	r.Finish("ok")
+	r.Reject("rate_limited")
 	d := tr.Dump()
 	if d == nil || d.Schema != RequestsSchema {
 		t.Fatalf("nil tracker Dump = %+v", d)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("empty dump invalid: %v", err)
+	}
+	// The other views dump empty; a nil tracker retains no traces.
+	if tr.Trace(1) != nil || len(tr.Traces().Traces) != 0 || len(tr.Tenants().Tenants) != 0 {
+		t.Error("nil tracker returned data")
+	}
+	if err := tr.Traces().Validate(); err == nil {
+		t.Error("nil tracker traces dump validated (schema is set but capacity is 0)")
+	}
+	if err := tr.Tenants().Validate(); err != nil {
+		t.Errorf("nil tracker tenants dump invalid: %v", err)
+	}
+}
+
+// recordedTracer builds a small completed trace with nSpans control-lane
+// task spans.
+func recordedTracer(t *testing.T, nSpans int) *trace.Tracer {
+	t.Helper()
+	tr := trace.New()
+	l := tr.Lane(trace.ControlLane, "control")
+	for i := 0; i < nSpans; i++ {
+		l.Begin(fmt.Sprintf("task%d", i), trace.CatTask)
+		l.End()
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// leadAndFinish runs one request through tr that leads a traced solve
+// failing with a budget error, so the tail sampler always retains it.
+func leadAndFinish(tr *RequestTracker, id, tenant string, tracer *trace.Tracer) string {
+	r := tr.Start(RequestInfo{ID: id, Tenant: tenant, Kind: "solve", EstimatedBitOps: 100})
+	r.SetCacheOutcome("miss")
+	reason := r.Led(LedSolve{
+		Start: time.Unix(1700000000, 0), Elapsed: 250 * time.Millisecond, BitOps: 400,
+		Outcome: OutcomeBudget, Workers: 2, Tracer: tracer, Efficiency: 0.5, SerialFraction: 0.25,
+	})
+	r.Finish("budget_exceeded")
+	return reason
+}
+
+// TestRequestTrackerRetainsTraces pins the retained traces' lifetime:
+// a trace lives exactly as long as its request's record stays in the
+// ring. Sequence numbers are monotonic and never reused, the view is
+// newest first, and an evicted trace no longer resolves by seq.
+func TestRequestTrackerRetainsTraces(t *testing.T) {
+	tr := NewRequestTracker(3)
+	for i := 0; i < 5; i++ {
+		if reason := leadAndFinish(tr, fmt.Sprintf("r%d", i), "acme", recordedTracer(t, 2)); reason != trace.ReasonError {
+			t.Fatalf("request %d retained as %q, want %q", i, reason, trace.ReasonError)
+		}
+	}
+	// A request that led no traced solve keeps nothing and pushes the
+	// oldest retained trace out of the ring.
+	tr.Start(RequestInfo{ID: "hit"}).Finish("ok")
+
+	rows := tr.Dump().Recent
+	for i, want := range []uint64{0, 5, 4} {
+		if rows[i].TraceSeq != want {
+			t.Errorf("recent[%d] (%s) traceSeq = %d, want %d", i, rows[i].ID, rows[i].TraceSeq, want)
+		}
+	}
+	d := tr.Traces()
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Traces) != 2 || d.Traces[0].Seq != 5 || d.Traces[1].Seq != 4 {
+		t.Fatalf("traces = %+v, want seqs 5, 4", d.Traces)
+	}
+	got := d.Traces[1]
+	if got.RequestID != "r3" || got.Tenant != "acme" || got.Outcome != string(OutcomeBudget) ||
+		got.Reason != trace.ReasonError || got.WallSeconds != 0.25 || got.Workers != 2 ||
+		got.Efficiency != 0.5 || got.SerialFraction != 0.25 || got.Spans != 2 {
+		t.Errorf("trace 4 = %+v", got)
+	}
+	if d.Capacity != 3 || d.Seen != 5 || d.Retained != 5 || d.Evicted != 3 || d.ByReason[trace.ReasonError] != 5 {
+		t.Errorf("capacity/seen/retained/evicted/byReason = %d/%d/%d/%d/%v, want 3/5/5/3/error=5",
+			d.Capacity, d.Seen, d.Retained, d.Evicted, d.ByReason)
+	}
+	if tr.Trace(3) != nil {
+		t.Error("evicted trace still reachable")
+	}
+	if tr.Trace(4) == nil {
+		t.Error("live trace 4 not reachable")
+	}
+
+	// The dump round-trips through JSON and the validator entry point.
+	data, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.ValidateStoreJSON(data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRequestTrackerTraceChromeExport checks that a retained trace
+// exports valid Chrome JSON carrying the request ID, and that a
+// dropped trace is not pinned.
+func TestRequestTrackerTraceChromeExport(t *testing.T) {
+	tr := NewRequestTracker(4)
+	tracer := recordedTracer(t, 3)
+	tracer.SetRequestID("req-chrome")
+	leadAndFinish(tr, "req-chrome", "", tracer)
+	var buf strings.Builder
+	if err := tr.Trace(1).WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.ValidateChrome([]byte(buf.String())); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "req-chrome") {
+		t.Error("chrome export lost the request ID")
+	}
+
+	// A healthy sequential solve is seen but dropped: no seq, no tracer.
+	r := tr.Start(RequestInfo{ID: "healthy"})
+	if reason := r.Led(LedSolve{Outcome: OutcomeOK, Workers: 1, Tracer: recordedTracer(t, 1)}); reason != "" {
+		t.Fatalf("healthy solve retained as %q", reason)
+	}
+	r.Finish("ok")
+	if d := tr.Traces(); d.Seen != 2 || d.Retained != 1 || tr.Trace(2) != nil {
+		t.Errorf("seen/retained = %d/%d, trace 2 = %v; want 2/1/nil", d.Seen, d.Retained, tr.Trace(2))
+	}
+	if tr.recent[1].tracer != nil {
+		t.Error("dropped trace still pinned by its record")
 	}
 }
 
@@ -127,13 +259,18 @@ func TestValidateRequestsJSON(t *testing.T) {
 	bad := map[string]string{
 		"wrong schema":    `{"schema":"bogus","capacity":4,"total":0}`,
 		"not json":        `{`,
-		"inactive active": `{"schema":"realroots/requests/v1","capacity":4,"total":1,"active":[{"id":"a","active":false}]}`,
-		"active recent":   `{"schema":"realroots/requests/v1","capacity":4,"total":1,"recent":[{"id":"a","active":true,"outcome":"ok"}]}`,
-		"missing outcome": `{"schema":"realroots/requests/v1","capacity":4,"total":1,"recent":[{"id":"a","active":false}]}`,
-		"over capacity": `{"schema":"realroots/requests/v1","capacity":1,"total":2,"recent":[` +
+		"old schema":      `{"schema":"realroots/requests/v1","capacity":4,"total":0}`,
+		"inactive active": `{"schema":"realroots/requests/v2","capacity":4,"total":1,"active":[{"id":"a","active":false}]}`,
+		"active recent":   `{"schema":"realroots/requests/v2","capacity":4,"total":1,"recent":[{"id":"a","active":true,"outcome":"ok"}]}`,
+		"missing outcome": `{"schema":"realroots/requests/v2","capacity":4,"total":1,"recent":[{"id":"a","active":false}]}`,
+		"over capacity": `{"schema":"realroots/requests/v2","capacity":1,"total":2,"recent":[` +
 			`{"id":"a","active":false,"outcome":"ok"},{"id":"b","active":false,"outcome":"ok"}]}`,
-		"negative timing": `{"schema":"realroots/requests/v1","capacity":4,"total":1,"recent":[` +
+		"total under full ring": `{"schema":"realroots/requests/v2","capacity":2,"total":0,"recent":[` +
+			`{"id":"a","active":false,"outcome":"ok"},{"id":"b","active":false,"outcome":"ok"}]}`,
+		"negative timing": `{"schema":"realroots/requests/v2","capacity":4,"total":1,"recent":[` +
 			`{"id":"a","active":false,"outcome":"ok","totalSeconds":-1}]}`,
+		"trace seq without reason": `{"schema":"realroots/requests/v2","capacity":4,"total":1,"recent":[` +
+			`{"id":"a","active":false,"outcome":"ok","traceSeq":3}]}`,
 	}
 	for name, doc := range bad {
 		if _, err := ValidateRequestsJSON([]byte(doc)); err == nil {
@@ -143,18 +280,34 @@ func TestValidateRequestsJSON(t *testing.T) {
 }
 
 // TestRequestTrackerConcurrent exercises the tracker from many
-// goroutines while dumping (run with -race).
+// goroutines — records leading traced solves, retaining and evicting
+// traces, folding tenant rows — while every view is dumped and
+// validated (run with -race).
 func TestRequestTrackerConcurrent(t *testing.T) {
 	tr := NewRequestTracker(16)
 	stop := make(chan struct{})
+	readerDone := make(chan struct{})
 	go func() {
-		for {
+		defer close(readerDone)
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
-				tr.Dump()
 			}
+			if err := tr.Dump().Validate(); err != nil {
+				t.Errorf("mid-run requests dump invalid: %v", err)
+				return
+			}
+			if err := tr.Traces().Validate(); err != nil {
+				t.Errorf("mid-run traces dump invalid: %v", err)
+				return
+			}
+			if err := tr.Tenants().Validate(); err != nil {
+				t.Errorf("mid-run tenants dump invalid: %v", err)
+				return
+			}
+			tr.Trace(uint64(i))
 		}
 	}()
 	const goroutines, per = 8, 50
@@ -163,10 +316,15 @@ func TestRequestTrackerConcurrent(t *testing.T) {
 		go func(g int) {
 			defer func() { donec <- struct{}{} }()
 			for i := 0; i < per; i++ {
-				r := tr.Start(RequestInfo{ID: fmt.Sprintf("c%d-%d", g, i)})
+				r := tr.Start(RequestInfo{ID: fmt.Sprintf("c%d-%d", g, i), Tenant: fmt.Sprintf("t%d", i%4)})
 				r.Observe(sched.Event{Kind: sched.PhaseBegin, Name: "solve"})
+				outcome := OutcomeOK
+				if i%5 == 0 {
+					outcome = OutcomeError
+				}
+				r.Led(LedSolve{Elapsed: time.Microsecond, BitOps: 10, Outcome: outcome, Tracer: trace.New()})
 				r.SetSolve(time.Microsecond, 10, 4)
-				r.Finish("ok")
+				r.Finish(string(outcome))
 			}
 		}(g)
 	}
@@ -174,12 +332,27 @@ func TestRequestTrackerConcurrent(t *testing.T) {
 		<-donec
 	}
 	close(stop)
+	<-readerDone
 	d := tr.Dump()
 	if d.Total != goroutines*per {
 		t.Fatalf("Total = %d, want %d", d.Total, goroutines*per)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+	traces := tr.Traces()
+	if err := traces.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(goroutines * per / 5); traces.Seen != goroutines*per || traces.Retained != want {
+		t.Errorf("seen/retained = %d/%d, want %d/%d", traces.Seen, traces.Retained, goroutines*per, want)
+	}
+	var solves int64
+	for _, row := range tr.Tenants().Tenants {
+		solves += row.Solves
+	}
+	if solves != goroutines*per {
+		t.Errorf("tenant rows account %d solves, want %d (lost updates)", solves, goroutines*per)
 	}
 }
 

@@ -12,16 +12,18 @@ import (
 // interesting enough to retain. This is the inversion of head
 // sampling: instead of guessing up front which 1% of requests to
 // record, record everything cheaply and keep only the tail that an
-// operator would actually open.
+// operator would actually open. A kept trace stays with its request's
+// record in the tracker's ring; /debug/traces is the view over the
+// records that carry one.
 
-// Sampler tuning defaults.
+// Sampler policy.
 const (
-	// DefaultTailQuantile marks a solve slow when its latency exceeds
-	// this rolling quantile of recent solve latencies.
-	DefaultTailQuantile = 0.95
-	// DefaultTailMinEfficiency marks a parallel solve interesting when
-	// its measured efficiency (speedup/workers) falls below this floor.
-	DefaultTailMinEfficiency = 0.25
+	// tailQuantile marks a solve slow when its latency exceeds this
+	// rolling quantile of recent solve latencies.
+	tailQuantile = 0.95
+	// tailMinEfficiency marks a parallel solve interesting when its
+	// measured efficiency (speedup/workers) falls below this floor.
+	tailMinEfficiency = 0.25
 	// tailWindow is how many observations each rolling-quantile window
 	// holds before rotating.
 	tailWindow = 512
@@ -32,93 +34,58 @@ const (
 	tailWarmup = 32
 )
 
-// TailConfig tunes a TailSampler. Zero values select the defaults.
-type TailConfig struct {
-	// Quantile is the rolling latency quantile above which a solve is
-	// retained as slow (0 = DefaultTailQuantile; set ≥ 1 to disable
-	// slow retention).
-	Quantile float64
-	// MinEfficiency is the parallel-efficiency floor below which a
-	// multi-worker solve is retained (0 = DefaultTailMinEfficiency;
-	// set < 0 to disable efficiency retention).
-	MinEfficiency float64
-}
-
-// TailSampler decides which completed traces to keep. It maintains a
+// tailSampler decides which completed traces to keep. It maintains a
 // rolling latency quantile over two rotating fixed-bucket windows:
 // observations land in the current window, and once it fills the
 // previous window's quantile becomes the threshold — so the threshold
 // always reflects a full recent window, never a half-empty one. All
-// methods are safe for concurrent use; nil no-ops (keep nothing).
-type TailSampler struct {
-	quantile      float64
-	minEfficiency float64
-
+// methods are safe for concurrent use; nil keeps nothing.
+type tailSampler struct {
 	mu   sync.Mutex
 	cur  *Histogram // filling
 	prev *Histogram // full, provides the threshold
 	curN int
 }
 
-// NewTailSampler creates a sampler with the given tuning.
-func NewTailSampler(cfg TailConfig) *TailSampler {
-	q := cfg.Quantile
-	if q == 0 {
-		q = DefaultTailQuantile
-	}
-	e := cfg.MinEfficiency
-	if e == 0 {
-		e = DefaultTailMinEfficiency
-	}
-	return &TailSampler{
-		quantile:      q,
-		minEfficiency: e,
-		cur:           NewHistogram(SecondsBuckets),
-	}
+func newTailSampler() *tailSampler {
+	return &tailSampler{cur: NewHistogram(SecondsBuckets)}
 }
 
-// TraceInfo is what the sampler knows about a completed solve.
-type TraceInfo struct {
-	// Forced is the explicit X-Debug-Trace override: always retain.
-	Forced bool
-	// Outcome is the solve outcome; anything but OutcomeOK retains.
-	Outcome Outcome
-	// Seconds is the solve's wall time.
-	Seconds float64
-	// Workers is the parallel worker count (0/1 = sequential; the
-	// efficiency floor only applies to parallel solves).
-	Workers int
-	// Efficiency is the measured parallel efficiency
-	// (trace.Summary.Efficiency).
-	Efficiency float64
+// traceInfo is what the sampler knows about a completed solve.
+type traceInfo struct {
+	forced     bool    // X-Debug-Trace: always retain
+	outcome    Outcome // anything but OutcomeOK retains
+	seconds    float64 // the solve's wall time
+	workers    int     // the efficiency floor applies only above 1
+	efficiency float64 // measured parallel efficiency
 }
 
-// Consider classifies one completed solve: it feeds the latency into
+// consider classifies one completed solve: it feeds the latency into
 // the rolling window and returns the retention reason ("" = do not
 // retain). Priority order: forced > error > slow > low efficiency, so
 // a forced trace of a failing solve still reads "forced" and counting
 // by reason stays unambiguous.
-func (s *TailSampler) Consider(info TraceInfo) (reason string) {
+func (s *tailSampler) consider(info traceInfo) (reason string) {
 	if s == nil {
 		return ""
 	}
-	slow := s.observe(info.Seconds)
+	slow := s.observe(info.seconds)
 	switch {
-	case info.Forced:
+	case info.forced:
 		return trace.ReasonForced
-	case info.Outcome != OutcomeOK:
+	case info.outcome != OutcomeOK:
 		return trace.ReasonError
 	case slow:
 		return trace.ReasonSlow
-	case info.Workers > 1 && s.minEfficiency >= 0 && info.Efficiency < s.minEfficiency:
+	case info.workers > 1 && info.efficiency < tailMinEfficiency:
 		return trace.ReasonLowEfficiency
 	}
 	return ""
 }
 
-// Threshold returns the current slow-latency threshold in seconds and
+// threshold returns the current slow-latency threshold in seconds and
 // whether it is trustworthy yet (false during warmup).
-func (s *TailSampler) Threshold() (float64, bool) {
+func (s *tailSampler) threshold() (float64, bool) {
 	if s == nil {
 		return 0, false
 	}
@@ -127,34 +94,23 @@ func (s *TailSampler) Threshold() (float64, bool) {
 	return s.thresholdLocked()
 }
 
-func (s *TailSampler) thresholdLocked() (float64, bool) {
+func (s *tailSampler) thresholdLocked() (float64, bool) {
 	if s.prev != nil {
-		return s.prev.Quantile(s.quantile), true
+		return s.prev.Quantile(tailQuantile), true
 	}
 	if s.curN >= tailWarmup {
-		return s.cur.Quantile(s.quantile), true
+		return s.cur.Quantile(tailQuantile), true
 	}
 	return 0, false
 }
 
 // observe folds one latency into the rolling window and reports
 // whether it exceeded the pre-observation threshold.
-func (s *TailSampler) observe(seconds float64) bool {
-	if s.quantile >= 1 {
-		s.mu.Lock()
-		s.rotateLocked(seconds)
-		s.mu.Unlock()
-		return false
-	}
+func (s *tailSampler) observe(seconds float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	threshold, ok := s.thresholdLocked()
 	slow := ok && seconds > threshold
-	s.rotateLocked(seconds)
-	return slow
-}
-
-func (s *TailSampler) rotateLocked(seconds float64) {
 	s.cur.Observe(seconds, "")
 	s.curN++
 	if s.curN >= tailWindow {
@@ -162,4 +118,54 @@ func (s *TailSampler) rotateLocked(seconds float64) {
 		s.cur = NewHistogram(SecondsBuckets)
 		s.curN = 0
 	}
+	return slow
+}
+
+// Traces snapshots the retained traces of the completed-request ring,
+// newest first, as the /debug/traces dump.
+func (t *RequestTracker) Traces() trace.StoreDump {
+	d := trace.StoreDump{Schema: trace.StoreSchema, ByReason: map[string]uint64{}, Traces: []trace.RetainedTrace{}}
+	if t == nil {
+		return d
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d.Capacity = len(t.recent)
+	d.Retained = t.traceSeq
+	// Read after Retained: a solve is seen before its trace is retained.
+	d.Seen = t.seen.Load()
+	d.Evicted = t.evicted
+	for k, v := range t.byReason {
+		d.ByReason[k] = v
+	}
+	t.newestFirst(func(rec *record) {
+		if rec.snap.TraceSeq == 0 {
+			return
+		}
+		rt := rec.trace
+		rt.Seq = rec.snap.TraceSeq
+		rt.RequestID = rec.snap.ID
+		rt.Tenant = rec.snap.Tenant
+		rt.Reason = rec.snap.TraceReason
+		d.Traces = append(d.Traces, rt)
+	})
+	return d
+}
+
+// Trace returns the tracer of the retained trace with sequence number
+// seq, or nil if it was never retained or its record has left the
+// ring. The tracer is quiescent; its solve has finished.
+func (t *RequestTracker) Trace(seq uint64) *trace.Tracer {
+	if t == nil || seq == 0 {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var tr *trace.Tracer
+	t.newestFirst(func(rec *record) {
+		if rec.snap.TraceSeq == seq {
+			tr = rec.tracer
+		}
+	})
+	return tr
 }

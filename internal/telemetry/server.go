@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"html/template"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -16,6 +17,8 @@ import (
 //	/metrics          Prometheus text exposition of the Registry
 //	/debug/flight     JSON dump of the flight recorder
 //	/debug/requests   live request inspector (HTML; ?format=json for the dump)
+//	/debug/traces     the retained traces of recent requests (/<seq> downloads one)
+//	/debug/tenants    per-tenant usage rows
 //	/debug/pprof/*    the standard runtime profiles
 //	/                 a plain-text index
 func (t *Telemetry) Handler() http.Handler {
@@ -32,75 +35,46 @@ func (t *Telemetry) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		dump := t.Requests().Dump()
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(dump); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
+	// /debug/requests, /debug/traces and /debug/tenants are views over
+	// the request tracker: an HTML page, or the dump with ?format=json.
+	view := func(path string, dump func() any, page *template.Template) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			d := dump()
+			if r.URL.Query().Get("format") == "json" {
+				w.Header().Set("Content-Type", "application/json")
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				if err := enc.Encode(d); err != nil {
+					http.Error(w, err.Error(), http.StatusInternalServerError)
+				}
+				return
 			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeRequestsHTML(w, dump)
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		store := t.Traces()
-		if store == nil {
-			http.Error(w, "trace store disabled", http.StatusNotFound)
-			return
-		}
-		dump := store.Dump()
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(dump); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeTracesHTML(w, dump)
-	})
+			w.Header().Set("Content-Type", "text/html; charset=utf-8")
+			// Template errors on a valid dump are impossible; a broken
+			// write is the client hanging up.
+			_ = page.Execute(w, d)
+		})
+	}
+	view("/debug/requests", func() any { return t.Requests().Dump() }, requestsTmpl)
+	view("/debug/traces", func() any { return t.Requests().Traces() }, tracesTmpl)
+	view("/debug/tenants", func() any { return t.Requests().Tenants() }, tenantsTmpl)
 	mux.HandleFunc("/debug/traces/", func(w http.ResponseWriter, r *http.Request) {
-		store := t.Traces()
-		if store == nil {
-			http.Error(w, "trace store disabled", http.StatusNotFound)
-			return
-		}
 		seq, err := strconv.ParseUint(strings.TrimPrefix(r.URL.Path, "/debug/traces/"), 10, 64)
 		if err != nil {
 			http.Error(w, "bad trace sequence number", http.StatusBadRequest)
 			return
 		}
-		rt := store.Get(seq)
-		if rt == nil {
+		tr := t.Requests().Trace(seq)
+		if tr == nil {
 			http.Error(w, "trace not retained (or evicted)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition",
 			fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("trace-%d.json", seq)))
-		if err := rt.WriteChrome(w); err != nil {
+		if err := tr.WriteChrome(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-	})
-	mux.HandleFunc("/debug/tenants", func(w http.ResponseWriter, r *http.Request) {
-		dump := t.Tenants().Dump()
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(dump); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeTenantsHTML(w, dump)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -117,8 +91,8 @@ func (t *Telemetry) Handler() http.Handler {
 		fmt.Fprintln(w, "  /metrics          Prometheus exposition")
 		fmt.Fprintln(w, "  /debug/flight     flight recorder dump (JSON)")
 		fmt.Fprintln(w, "  /debug/requests   live request inspector (?format=json)")
-		fmt.Fprintln(w, "  /debug/traces     tail-sampled trace store (?format=json; /<seq> downloads Chrome JSON)")
-		fmt.Fprintln(w, "  /debug/tenants    per-tenant usage ledger (?format=json)")
+		fmt.Fprintln(w, "  /debug/traces     retained traces of recent requests (?format=json; /<seq> downloads Chrome JSON)")
+		fmt.Fprintln(w, "  /debug/tenants    per-tenant usage (?format=json)")
 		fmt.Fprintln(w, "  /debug/pprof/     runtime profiles")
 	})
 	return mux

@@ -10,7 +10,13 @@
 //     snapshots, scheduler statistics, and trace utilization summaries,
 //     rendered in Prometheus text exposition format;
 //   - a Flight recorder: a fixed-size lock-free ring buffer of recent
-//     spans and events that can be dumped on error, SIGQUIT, or request.
+//     spans and events that can be dumped on error, SIGQUIT, or request;
+//   - a RequestTracker: the one record per server request, kept in a
+//     bounded ring once finished. A record carries its request's cost,
+//     phase and outcome, the tail sampler's verdict on the solve it led
+//     (with the retained trace itself), and folds into its tenant's
+//     usage row. /debug/requests, /debug/traces, /debug/tenants and the
+//     rootd_tenant_* families are views over it.
 //
 // Everything is nil-safe in the style of metrics.Counters and
 // trace.Tracer: a nil *Telemetry (and the nil *Run it hands out) makes
@@ -68,27 +74,16 @@ type Config struct {
 	// FlightCapacity is the flight-recorder ring size in records
 	// (0 = DefaultFlightCapacity).
 	FlightCapacity int
-	// TraceStoreCapacity is the tail-sampled trace ring size
-	// (0 = trace.DefaultStoreCapacity; < 0 disables the store and
-	// sampler — Traces()/TailSampler() return nil).
-	TraceStoreCapacity int
-	// Tail tunes the tail sampler's retention policy.
-	Tail TailConfig
-	// MaxTenants bounds the per-tenant usage ledger
-	// (0 = DefaultMaxTenants).
-	MaxTenants int
 }
 
-// Telemetry is the hub tying the three sinks together. One hub serves
-// a whole process: runs from concurrent solves interleave safely.
+// Telemetry is the hub tying the solve log, the registry, the flight
+// recorder and the request tracker together. One hub serves a whole
+// process: runs from concurrent solves interleave safely.
 type Telemetry struct {
 	logger   *slog.Logger
 	flight   *Flight
 	reg      *Registry
 	requests *RequestTracker
-	traces   *trace.Store
-	tail     *TailSampler
-	tenants  *TenantLedger
 	runSeq   atomic.Uint64
 }
 
@@ -102,51 +97,19 @@ func New(cfg Config) *Telemetry {
 		logger:   cfg.Logger,
 		flight:   NewFlight(capacity),
 		requests: NewRequestTracker(DefaultRequestRingCapacity),
-		tenants:  NewTenantLedger(cfg.MaxTenants),
-	}
-	if cfg.TraceStoreCapacity >= 0 {
-		t.traces = trace.NewStore(cfg.TraceStoreCapacity)
-		t.tail = NewTailSampler(cfg.Tail)
 	}
 	t.reg = newRegistry(t.flight)
 	return t
 }
 
 // Requests returns the hub's request tracker, backing the
-// /debug/requests inspector (nil for a nil hub).
+// /debug/requests, /debug/traces and /debug/tenants inspectors (nil
+// for a nil hub).
 func (t *Telemetry) Requests() *RequestTracker {
 	if t == nil {
 		return nil
 	}
 	return t.requests
-}
-
-// Traces returns the hub's tail-sampled trace store, backing the
-// /debug/traces inspector (nil for a nil hub or a disabled store; a
-// nil *trace.Store no-ops everywhere).
-func (t *Telemetry) Traces() *trace.Store {
-	if t == nil {
-		return nil
-	}
-	return t.traces
-}
-
-// TailSampler returns the hub's tail sampler (nil for a nil hub or a
-// disabled store; a nil sampler retains nothing).
-func (t *Telemetry) TailSampler() *TailSampler {
-	if t == nil {
-		return nil
-	}
-	return t.tail
-}
-
-// Tenants returns the hub's per-tenant usage ledger, backing the
-// /debug/tenants inspector (nil for a nil hub; a nil ledger no-ops).
-func (t *Telemetry) Tenants() *TenantLedger {
-	if t == nil {
-		return nil
-	}
-	return t.tenants
 }
 
 // Flight returns the hub's flight recorder (nil for a nil hub).

@@ -4,54 +4,40 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// Per-tenant usage ledger. rootd already labels its latency histograms
-// by tenant; the ledger is the complementary integral view — who has
-// consumed how much arithmetic, how often they hit the cache, how
-// often admission pushed back — kept with the same copy-on-write
-// discipline as HistogramVec so the per-solve accounting path is
-// lock-free once a tenant's row exists.
+// Per-tenant usage rows. rootd labels its latency histograms by tenant;
+// the rows are the complementary integral view — who has consumed how
+// much arithmetic, how often they hit the cache, how often admission
+// pushed back — folded from each request record when it finishes. One
+// cap and one label function serve the rows, the rootd_tenant_*
+// families and the per-tenant histograms, so all three name the same
+// tenants.
 
 // TenantsSchema versions the /debug/tenants JSON dump.
 const TenantsSchema = "realroots/tenants/v1"
 
-// DefaultMaxTenants bounds the ledger's row count; tenants beyond the
-// cap are folded into the OverflowTenant row so a tenant-ID cardinality
-// attack cannot grow the ledger (mirroring rootd's label-series cap).
-const DefaultMaxTenants = 64
+// MaxTenants bounds the named tenant rows (and tenant label values);
+// tenants beyond the cap are folded into the OverflowTenant row so a
+// tenant-ID cardinality attack cannot grow the rows or the exposition.
+const MaxTenants = 64
 
-// Ledger row names for the two synthetic tenants.
+// Row names for the two synthetic tenants.
 const (
 	// AnonymousTenant accounts requests that carried no tenant ID.
 	AnonymousTenant = "anonymous"
-	// OverflowTenant accounts tenants beyond the ledger cap.
+	// OverflowTenant accounts tenants beyond the cap.
 	OverflowTenant = "other"
 )
 
-// TenantUsage is one tenant's accumulated usage. All fields are
-// atomics; rows are shared by reference and never replaced.
-type TenantUsage struct {
-	requests     atomic.Int64
-	solves       atomic.Int64
-	solveSeconds Float64
-	bitOps       atomic.Int64
-	cacheHits    atomic.Int64
-	rejections   atomic.Int64
-	errors       atomic.Int64
-	retained     atomic.Int64
-}
-
-// TenantRow is the serialized form of one ledger row.
+// TenantRow is one tenant's accumulated usage.
 type TenantRow struct {
 	Tenant string `json:"tenant"`
 	// Requests counts every admitted-or-not request attributed to the
 	// tenant (the denominator for the rejection rate).
 	Requests int64 `json:"requests"`
 	// Solves counts solves the tenant actually ran (cache misses where
-	// this tenant was the single-flight leader).
+	// this tenant was the single-flight leader), failed ones included.
 	Solves int64 `json:"solves"`
 	// SolveSeconds is the summed wall time of those solves.
 	SolveSeconds float64 `json:"solveSeconds"`
@@ -69,130 +55,75 @@ type TenantRow struct {
 	RetainedTraces int64 `json:"retainedTraces"`
 }
 
-// row snapshots the usage counters.
-func (u *TenantUsage) row(tenant string) TenantRow {
-	return TenantRow{
-		Tenant:         tenant,
-		Requests:       u.requests.Load(),
-		Solves:         u.solves.Load(),
-		SolveSeconds:   u.solveSeconds.Load(),
-		BitOps:         u.bitOps.Load(),
-		CacheHits:      u.cacheHits.Load(),
-		Rejections:     u.rejections.Load(),
-		Errors:         u.errors.Load(),
-		RetainedTraces: u.retained.Load(),
+// TenantLabel returns the row name, and label value, under which
+// tenant is accounted: AnonymousTenant for "", OverflowTenant once
+// MaxTenants named rows exist, else tenant itself (claiming its row).
+// A nil tracker applies no cap.
+func (t *RequestTracker) TenantLabel(tenant string) string {
+	if tenant == "" {
+		return AnonymousTenant
 	}
+	if t == nil {
+		return tenant
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rowLocked(tenant).Tenant
 }
 
-// TenantLedger maps tenant IDs to usage rows. Row lookup is a
-// copy-on-write map read (lock-free after first use, like
-// HistogramVec.With); all accounting methods are nil-safe no-ops.
-type TenantLedger struct {
-	maxTenants int
-
-	mu   sync.Mutex
-	rows atomic.Pointer[map[string]*TenantUsage]
-}
-
-// NewTenantLedger creates a ledger holding at most maxTenants rows
-// (<= 0 selects DefaultMaxTenants). The synthetic anonymous/overflow
-// rows do not count against the cap.
-func NewTenantLedger(maxTenants int) *TenantLedger {
-	if maxTenants <= 0 {
-		maxTenants = DefaultMaxTenants
-	}
-	l := &TenantLedger{maxTenants: maxTenants}
-	empty := map[string]*TenantUsage{}
-	l.rows.Store(&empty)
-	return l
-}
-
-// usage returns the row for tenant, creating it on first use. "" maps
-// to AnonymousTenant; tenants beyond the cap map to OverflowTenant.
-func (l *TenantLedger) usage(tenant string) *TenantUsage {
-	if l == nil {
-		return nil
-	}
+// rowLocked returns tenant's row, creating it on first use. The
+// caller holds t.mu.
+func (t *RequestTracker) rowLocked(tenant string) *TenantRow {
 	if tenant == "" {
 		tenant = AnonymousTenant
 	}
-	if u := (*l.rows.Load())[tenant]; u != nil {
-		return u
+	if row := t.tenants[tenant]; row != nil {
+		return row
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur := *l.rows.Load()
-	if u := cur[tenant]; u != nil {
-		return u
-	}
-	// Count only real tenant rows against the cap.
-	real_ := 0
-	for k := range cur {
-		if k != AnonymousTenant && k != OverflowTenant {
-			real_++
+	if tenant != AnonymousTenant && tenant != OverflowTenant {
+		if t.named >= MaxTenants {
+			return t.rowLocked(OverflowTenant)
 		}
+		t.named++
 	}
-	if tenant != AnonymousTenant && tenant != OverflowTenant && real_ >= l.maxTenants {
-		tenant = OverflowTenant
-		if u := cur[tenant]; u != nil {
-			return u
-		}
-	}
-	next := make(map[string]*TenantUsage, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	u := &TenantUsage{}
-	next[tenant] = u
-	l.rows.Store(&next)
-	return u
+	row := &TenantRow{Tenant: tenant}
+	t.tenants[tenant] = row
+	return row
 }
 
-// AddRequest accounts one incoming request.
-func (l *TenantLedger) AddRequest(tenant string) {
-	if u := l.usage(tenant); u != nil {
-		u.requests.Add(1)
+// foldLocked adds one finished request record to its tenant's row. The
+// caller holds t.mu.
+func (t *RequestTracker) foldLocked(rec *record) {
+	row := t.rowLocked(rec.snap.Tenant)
+	row.Requests++
+	if rec.led {
+		row.Solves++
+		row.SolveSeconds += rec.snap.SolveSecs
+		row.BitOps += rec.snap.ActualBitOps
 	}
-}
-
-// AddSolve accounts one completed solve the tenant led: its wall time
-// and measured bit-operation cost.
-func (l *TenantLedger) AddSolve(tenant string, seconds float64, bitOps int64) {
-	if u := l.usage(tenant); u != nil {
-		u.solves.Add(1)
-		u.solveSeconds.Add(seconds)
-		u.bitOps.Add(bitOps)
+	switch {
+	case rec.rejected:
+		row.Rejections++
+	case rec.snap.Outcome != "ok":
+		row.Errors++
+	case rec.snap.CacheOutcome == "hit" || rec.snap.CacheOutcome == "join":
+		row.CacheHits++
+	}
+	if rec.snap.TraceSeq != 0 {
+		row.RetainedTraces++
 	}
 }
 
-// AddCacheHit accounts one request served from the result cache.
-func (l *TenantLedger) AddCacheHit(tenant string) {
-	if u := l.usage(tenant); u != nil {
-		u.cacheHits.Add(1)
+// tenantRows snapshots the rows sorted by tenant name.
+func (t *RequestTracker) tenantRows() []TenantRow {
+	t.mu.Lock()
+	rows := make([]TenantRow, 0, len(t.tenants))
+	for _, row := range t.tenants {
+		rows = append(rows, *row)
 	}
-}
-
-// AddRejection accounts one request refused by admission control.
-func (l *TenantLedger) AddRejection(tenant string) {
-	if u := l.usage(tenant); u != nil {
-		u.rejections.Add(1)
-	}
-}
-
-// AddError accounts one request that failed for a non-admission
-// reason.
-func (l *TenantLedger) AddError(tenant string) {
-	if u := l.usage(tenant); u != nil {
-		u.errors.Add(1)
-	}
-}
-
-// AddRetainedTrace accounts one of the tenant's solves being kept by
-// the tail sampler.
-func (l *TenantLedger) AddRetainedTrace(tenant string) {
-	if u := l.usage(tenant); u != nil {
-		u.retained.Add(1)
-	}
+	t.mu.Unlock()
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Tenant < rows[j].Tenant })
+	return rows
 }
 
 // TenantsDump is the schema-versioned JSON served at /debug/tenants.
@@ -202,26 +133,18 @@ type TenantsDump struct {
 	Tenants    []TenantRow `json:"tenants"`
 }
 
-// Dump snapshots the ledger, rows sorted by tenant ID.
-func (l *TenantLedger) Dump() TenantsDump {
-	d := TenantsDump{Schema: TenantsSchema}
-	if l == nil {
-		return d
+// Tenants snapshots the tenant rows, sorted by tenant ID.
+func (t *RequestTracker) Tenants() TenantsDump {
+	d := TenantsDump{Schema: TenantsSchema, MaxTenants: MaxTenants, Tenants: []TenantRow{}}
+	if t != nil {
+		d.Tenants = t.tenantRows()
 	}
-	d.MaxTenants = l.maxTenants
-	cur := *l.rows.Load()
-	d.Tenants = make([]TenantRow, 0, len(cur))
-	for tenant, u := range cur {
-		d.Tenants = append(d.Tenants, u.row(tenant))
-	}
-	sort.Slice(d.Tenants, func(i, j int) bool { return d.Tenants[i].Tenant < d.Tenants[j].Tenant })
 	return d
 }
 
 // Validate checks the dump's structural invariants: schema string,
 // rows sorted and unique, non-negative counters, and cache hits +
-// rejections not exceeding the request count (solves can exceed it
-// transiently only if accounting is wrong, so that is checked too).
+// rejections not exceeding the request count.
 func (d TenantsDump) Validate() error {
 	if d.Schema != TenantsSchema {
 		return fmt.Errorf("telemetry: tenants dump schema %q, want %q", d.Schema, TenantsSchema)
@@ -259,56 +182,35 @@ func ValidateTenantsJSON(data []byte) error {
 }
 
 // RegisterTenantFamilies registers the rootd_tenant_* exposition
-// families, each a counter over the dynamic tenant label reading the
-// ledger at scrape time. Safe to call once per ledger per registry.
-func (g *Registry) RegisterTenantFamilies(l *TenantLedger) {
-	if g == nil || l == nil {
+// families, each a counter over the tenant label reading the tracker's
+// rows at scrape time. Registering again is a no-op.
+func (g *Registry) RegisterTenantFamilies(t *RequestTracker) {
+	if g == nil || t == nil {
 		return
 	}
-	intFam := func(name, help string, get func(*TenantUsage) int64) {
-		g.families.register(name, help, "counter", l, func(e *expoWriter) {
-			for _, t := range sortedTenants(l) {
-				e.sampleInt(name, get(t.u), "tenant", t.name)
+	intFam := func(name, help string, get func(*TenantRow) int64) {
+		g.families.register(name, help, "counter", t, func(e *expoWriter) {
+			for _, row := range t.tenantRows() {
+				e.sampleInt(name, get(&row), "tenant", row.Tenant)
 			}
 		})
 	}
 	intFam("rootd_tenant_requests_total", "Requests received per tenant.",
-		func(u *TenantUsage) int64 { return u.requests.Load() })
+		func(r *TenantRow) int64 { return r.Requests })
 	intFam("rootd_tenant_solves_total", "Solves led per tenant (cache misses).",
-		func(u *TenantUsage) int64 { return u.solves.Load() })
+		func(r *TenantRow) int64 { return r.Solves })
 	intFam("rootd_tenant_bit_ops_total", "Measured solve bit operations per tenant.",
-		func(u *TenantUsage) int64 { return u.bitOps.Load() })
+		func(r *TenantRow) int64 { return r.BitOps })
 	intFam("rootd_tenant_cache_hits_total", "Requests served from the result cache per tenant.",
-		func(u *TenantUsage) int64 { return u.cacheHits.Load() })
+		func(r *TenantRow) int64 { return r.CacheHits })
 	intFam("rootd_tenant_rejections_total", "Requests refused by admission control per tenant.",
-		func(u *TenantUsage) int64 { return u.rejections.Load() })
+		func(r *TenantRow) int64 { return r.Rejections })
 	intFam("rootd_tenant_retained_traces_total", "Solves retained by the tail sampler per tenant.",
-		func(u *TenantUsage) int64 { return u.retained.Load() })
+		func(r *TenantRow) int64 { return r.RetainedTraces })
 	g.families.register("rootd_tenant_solve_seconds_total",
-		"Summed solve wall seconds per tenant.", "counter", l, func(e *expoWriter) {
-			for _, t := range sortedTenants(l) {
-				e.sampleFloat("rootd_tenant_solve_seconds_total", t.u.solveSeconds.Load(), "tenant", t.name)
+		"Summed solve wall seconds per tenant.", "counter", t, func(e *expoWriter) {
+			for _, row := range t.tenantRows() {
+				e.sampleFloat("rootd_tenant_solve_seconds_total", row.SolveSeconds, "tenant", row.Tenant)
 			}
 		})
-}
-
-// sortedTenants snapshots the ledger rows sorted by tenant name, for
-// deterministic exposition order.
-func sortedTenants(l *TenantLedger) []struct {
-	name string
-	u    *TenantUsage
-} {
-	cur := *l.rows.Load()
-	out := make([]struct {
-		name string
-		u    *TenantUsage
-	}, 0, len(cur))
-	for name, u := range cur {
-		out = append(out, struct {
-			name string
-			u    *TenantUsage
-		}{name, u})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
 }

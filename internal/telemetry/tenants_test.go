@@ -7,35 +7,61 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"realroots/internal/trace"
 )
 
-func TestTenantLedgerAccounting(t *testing.T) {
-	l := NewTenantLedger(8)
-	l.AddRequest("acme")
-	l.AddRequest("acme")
-	l.AddSolve("acme", 0.5, 1000)
-	l.AddCacheHit("acme")
-	l.AddRejection("acme")
-	l.AddError("acme")
-	l.AddRetainedTrace("acme")
-	l.AddRequest("") // anonymous
-
-	d := l.Dump()
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
+// serve runs one request for tenant through tr and finishes it: led
+// requests charge a solve of the given cost; cache is the cache outcome;
+// rejected finishes it through Reject.
+func serve(tr *RequestTracker, tenant, cache string, led bool, seconds float64, bitOps int64, outcome string, rejected bool) {
+	r := tr.Start(RequestInfo{ID: "r", Tenant: tenant, Kind: "solve"})
+	r.SetCacheOutcome(cache)
+	if led {
+		o := OutcomeOK
+		if outcome != "ok" {
+			o = OutcomeError
+		}
+		r.Led(LedSolve{Elapsed: time.Duration(seconds * float64(time.Second)), BitOps: bitOps, Outcome: o, Tracer: trace.New()})
 	}
+	if rejected {
+		r.Reject(outcome)
+	} else {
+		r.Finish(outcome)
+	}
+}
+
+func rowsByTenant(d TenantsDump) map[string]TenantRow {
 	rows := map[string]TenantRow{}
 	for _, r := range d.Tenants {
 		rows[r.Tenant] = r
 	}
+	return rows
+}
+
+func TestTenantLedgerAccounting(t *testing.T) {
+	tr := NewRequestTracker(8)
+	serve(tr, "acme", "miss", true, 0.5, 1000, "ok", false)       // led, ok
+	serve(tr, "acme", "hit", false, 0, 0, "ok", false)            // cache hit
+	serve(tr, "acme", "join", false, 0, 0, "ok", false)           // single-flight join
+	serve(tr, "acme", "", false, 0, 0, "rate_limited", true)      // rejection
+	serve(tr, "acme", "miss", true, 0.25, 500, "internal", false) // failed solve: charged, error, retained
+	serve(tr, "", "hit", false, 0, 0, "ok", false)                // anonymous
+
+	d := tr.Tenants()
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rows := rowsByTenant(d)
 	acme := rows["acme"]
-	if acme.Requests != 2 || acme.Solves != 1 || acme.SolveSeconds != 0.5 ||
-		acme.BitOps != 1000 || acme.CacheHits != 1 || acme.Rejections != 1 ||
+	if acme.Requests != 5 || acme.Solves != 2 || acme.SolveSeconds != 0.75 ||
+		acme.BitOps != 1500 || acme.CacheHits != 2 || acme.Rejections != 1 ||
 		acme.Errors != 1 || acme.RetainedTraces != 1 {
 		t.Errorf("acme row = %+v", acme)
 	}
-	if rows[AnonymousTenant].Requests != 1 {
-		t.Errorf("anonymous row = %+v, want 1 request", rows[AnonymousTenant])
+	if rows[AnonymousTenant].Requests != 1 || rows[AnonymousTenant].CacheHits != 1 {
+		t.Errorf("anonymous row = %+v, want 1 request / 1 cache hit", rows[AnonymousTenant])
 	}
 
 	// Round-trip through the JSON validator entry point.
@@ -48,53 +74,62 @@ func TestTenantLedgerAccounting(t *testing.T) {
 	}
 }
 
+// TestTenantLedgerOverflow pins the one tenant cap: the first
+// MaxTenants named tenants get their own row and label value, later
+// ones share OverflowTenant, and anonymous never counts against it.
 func TestTenantLedgerOverflow(t *testing.T) {
-	l := NewTenantLedger(2)
-	l.AddRequest("a")
-	l.AddRequest("b")
-	l.AddRequest("c") // over the cap: folds into "other"
-	l.AddRequest("d")
-	l.AddRequest("")  // anonymous does not count against the cap
-	l.AddRequest("a") // existing row still resolves directly
+	tr := NewRequestTracker(8)
+	for i := 0; i < MaxTenants+2; i++ {
+		serve(tr, fmt.Sprintf("t%02d", i), "hit", false, 0, 0, "ok", false)
+	}
+	serve(tr, "", "hit", false, 0, 0, "ok", false)    // anonymous does not count against the cap
+	serve(tr, "t00", "hit", false, 0, 0, "ok", false) // existing row still resolves directly
 
-	d := l.Dump()
+	d := tr.Tenants()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]int64{}
-	for _, r := range d.Tenants {
-		got[r.Tenant] = r.Requests
+	if d.MaxTenants != MaxTenants {
+		t.Errorf("maxTenants = %d, want %d", d.MaxTenants, MaxTenants)
 	}
-	want := map[string]int64{"a": 2, "b": 1, OverflowTenant: 2, AnonymousTenant: 1}
-	if len(got) != len(want) {
-		t.Fatalf("rows = %v, want %v", got, want)
+	rows := rowsByTenant(d)
+	if len(rows) != MaxTenants+2 {
+		t.Errorf("%d rows, want %d named + other + anonymous", len(rows), MaxTenants)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("row %q = %d requests, want %d", k, got[k], v)
+	for tenant, want := range map[string]int64{"t00": 2, "t63": 1, OverflowTenant: 2, AnonymousTenant: 1} {
+		if got := rows[tenant].Requests; got != want {
+			t.Errorf("row %q = %d requests, want %d", tenant, got, want)
+		}
+	}
+	for tenant, want := range map[string]string{
+		"t05": "t05", "t64": OverflowTenant, "never-seen": OverflowTenant, "": AnonymousTenant,
+	} {
+		if got := tr.TenantLabel(tenant); got != want {
+			t.Errorf("TenantLabel(%q) = %q, want %q", tenant, got, want)
 		}
 	}
 }
 
 func TestTenantLedgerNilSafe(t *testing.T) {
-	var l *TenantLedger
-	l.AddRequest("a")
-	l.AddSolve("a", 1, 1)
-	l.AddCacheHit("a")
-	l.AddRejection("a")
-	l.AddError("a")
-	l.AddRetainedTrace("a")
-	d := l.Dump()
-	if len(d.Tenants) != 0 {
-		t.Errorf("nil ledger dumped rows: %+v", d.Tenants)
+	var tr *RequestTracker
+	if got := tr.TenantLabel("a"); got != "a" {
+		t.Errorf("nil tracker label %q", got)
 	}
+	if got := tr.TenantLabel(""); got != AnonymousTenant {
+		t.Errorf("nil tracker anonymous label %q", got)
+	}
+	d := tr.Tenants()
+	if len(d.Tenants) != 0 {
+		t.Errorf("nil tracker dumped rows: %+v", d.Tenants)
+	}
+	New(Config{}).Registry().RegisterTenantFamilies(nil) // no-op
 }
 
-// TestTenantLedgerConcurrent hammers row creation and accounting from
-// many goroutines (run with -race): the copy-on-write map must not lose
-// updates when rows are created concurrently.
+// TestTenantLedgerConcurrent hammers row creation and folding from many
+// goroutines while the rows are dumped and labels resolved (run with
+// -race): no update may be lost when rows are created concurrently.
 func TestTenantLedgerConcurrent(t *testing.T) {
-	l := NewTenantLedger(64)
+	tr := NewRequestTracker(16)
 	const goroutines, perG = 8, 200
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -103,8 +138,8 @@ func TestTenantLedgerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				tenant := fmt.Sprintf("t%d", i%16)
-				l.AddRequest(tenant)
-				l.AddSolve(tenant, 0.001, 10)
+				tr.TenantLabel(tenant)
+				serve(tr, tenant, "miss", true, 0.001, 10, "ok", false)
 			}
 		}(g)
 	}
@@ -112,14 +147,14 @@ func TestTenantLedgerConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			if err := l.Dump().Validate(); err != nil {
+			if err := tr.Tenants().Validate(); err != nil {
 				t.Errorf("mid-write dump invalid: %v", err)
 				return
 			}
 		}
 	}()
 	wg.Wait()
-	d := l.Dump()
+	d := tr.Tenants()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +170,10 @@ func TestTenantLedgerConcurrent(t *testing.T) {
 
 func TestRegisterTenantFamiliesExposition(t *testing.T) {
 	tel := New(Config{})
-	l := tel.Tenants()
-	l.AddRequest("acme")
-	l.AddSolve("acme", 0.25, 1234)
-	l.AddCacheHit("beta")
-	l.AddRequest("beta")
-	tel.Registry().RegisterTenantFamilies(l)
+	tr := tel.Requests()
+	serve(tr, "acme", "miss", true, 0.25, 1234, "ok", false)
+	serve(tr, "beta", "hit", false, 0, 0, "ok", false)
+	tel.Registry().RegisterTenantFamilies(tr)
 
 	var buf bytes.Buffer
 	if err := tel.Registry().WritePrometheus(&buf); err != nil {
@@ -162,7 +195,7 @@ func TestRegisterTenantFamiliesExposition(t *testing.T) {
 	}
 	// Registering twice must not duplicate families (register is
 	// idempotent by name).
-	tel.Registry().RegisterTenantFamilies(l)
+	tel.Registry().RegisterTenantFamilies(tr)
 	buf.Reset()
 	if err := tel.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -3,17 +3,17 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 )
 
-// StoreSchema versions the /debug/traces JSON dump. Bump on
-// incompatible changes to StoreDump or RetainedTrace.
+// StoreSchema versions the /debug/traces JSON dump, the wire schema of
+// the traces rootd's request tracker retains (telemetry.RequestTracker
+// builds the dump). Bump on incompatible changes to StoreDump or
+// RetainedTrace.
 const StoreSchema = "realroots/trace-store/v1"
 
-// Retention reasons recorded on a RetainedTrace. The sampler decides
-// which applies; the store only counts them.
+// Retention reasons recorded on a RetainedTrace. The tail sampler
+// decides which applies.
 const (
 	ReasonForced        = "forced"         // X-Debug-Trace header
 	ReasonError         = "error"          // error / panic / budget-exceeded outcome
@@ -25,8 +25,9 @@ const (
 // keep, with enough derived metadata to triage it from the index page
 // without opening the Chrome export.
 type RetainedTrace struct {
-	// Seq is the store-assigned retention sequence number (monotonic,
-	// never reused); it addresses the trace's Chrome export download.
+	// Seq is the retention sequence number (monotonic, never reused),
+	// assigned when the request finishes; it addresses the trace's
+	// Chrome export download.
 	Seq uint64 `json:"seq"`
 	// RequestID is the solve's end-to-end request ID.
 	RequestID string `json:"requestId"`
@@ -52,140 +53,18 @@ type RetainedTrace struct {
 	// Spans and DroppedSpans count recorded and cap-dropped spans.
 	Spans        int `json:"spans"`
 	DroppedSpans int `json:"droppedSpans"`
-
-	// tracer holds the raw spans for the Chrome export; not serialized
-	// into the index (a dump row is metadata only — the full trace is a
-	// separate download).
-	tracer *Tracer
 }
 
-// WriteChrome writes the retained trace's Chrome trace-event export.
-func (rt *RetainedTrace) WriteChrome(w io.Writer) error {
-	if rt == nil || rt.tracer == nil {
-		return fmt.Errorf("trace: retained trace has no recorded spans")
-	}
-	return rt.tracer.WriteChrome(w)
-}
-
-// A Store is a fixed-size ring of retained traces: the newest
-// `capacity` interesting solves, evicting oldest-first. All methods
-// are safe for concurrent use; a nil *Store no-ops (tracing retained
-// nowhere).
-type Store struct {
-	mu       sync.Mutex
-	capacity int
-	ring     []*RetainedTrace // ring[next] is the oldest once full
-	next     int
-	seq      uint64
-	seen     uint64
-	retained uint64
-	evicted  uint64
-	byReason map[string]uint64
-}
-
-// DefaultStoreCapacity is the ring size used when the operator does
-// not configure one: enough history to hold a burst of failures
-// without unbounded memory (each entry pins one bounded tracer).
-const DefaultStoreCapacity = 64
-
-// NewStore creates a ring store holding at most capacity traces
-// (capacity <= 0 selects DefaultStoreCapacity).
-func NewStore(capacity int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultStoreCapacity
-	}
-	return &Store{capacity: capacity, byReason: make(map[string]uint64)}
-}
-
-// Capacity returns the ring size (0 on nil).
-func (s *Store) Capacity() int {
-	if s == nil {
-		return 0
-	}
-	return s.capacity
-}
-
-// NoteSeen counts one completed solve that passed through the sampler,
-// retained or not; it is the denominator for the retention rate shown
-// on the index page.
-func (s *Store) NoteSeen() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.seen++
-	s.mu.Unlock()
-}
-
-// Add retains a trace, assigning and returning its sequence number.
-// The oldest entry is evicted when the ring is full. The tracer must
-// be quiescent (its run completed) — the store will read it on demand
-// for Chrome exports.
-func (s *Store) Add(rt RetainedTrace, tr *Tracer) uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	rt.Seq = s.seq
-	rt.tracer = tr
-	s.retained++
-	s.byReason[rt.Reason]++
-	if len(s.ring) < s.capacity {
-		s.ring = append(s.ring, &rt)
-	} else {
-		if s.ring[s.next] != nil {
-			s.evicted++
-		}
-		s.ring[s.next] = &rt
-		s.next = (s.next + 1) % s.capacity
-	}
-	return rt.Seq
-}
-
-// Get returns the retained trace with the given sequence number, or
-// nil if it was never retained or has been evicted.
-func (s *Store) Get(seq uint64) *RetainedTrace {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rt := range s.ring {
-		if rt != nil && rt.Seq == seq {
-			return rt
-		}
-	}
-	return nil
-}
-
-// Traces returns the retained traces, newest first.
-func (s *Store) Traces() []*RetainedTrace {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*RetainedTrace, 0, len(s.ring))
-	// Walk the ring backwards from the most recently written slot.
-	for i := 0; i < len(s.ring); i++ {
-		j := (s.next - 1 - i + 2*len(s.ring)) % len(s.ring)
-		if len(s.ring) < s.capacity {
-			// Not yet wrapped: entries live at [0, len) in insert order.
-			j = len(s.ring) - 1 - i
-		}
-		if rt := s.ring[j]; rt != nil {
-			out = append(out, rt)
-		}
-	}
-	return out
-}
-
-// StoreDump is the schema-versioned JSON served at /debug/traces.
+// StoreDump is the schema-versioned JSON served at /debug/traces: the
+// retained traces of the requests still in the completed-request ring,
+// newest first.
 type StoreDump struct {
-	Schema   string            `json:"schema"`
-	Capacity int               `json:"capacity"`
+	Schema string `json:"schema"`
+	// Capacity is the completed-request ring size, which bounds the
+	// traces held.
+	Capacity int `json:"capacity"`
+	// Seen counts solves the tail sampler considered; Retained those
+	// it kept; Evicted the kept ones whose requests left the ring.
 	Seen     uint64            `json:"seen"`
 	Retained uint64            `json:"retained"`
 	Evicted  uint64            `json:"evicted"`
@@ -193,40 +72,19 @@ type StoreDump struct {
 	Traces   []RetainedTrace   `json:"traces"`
 }
 
-// Dump snapshots the store for serialization, newest trace first.
-func (s *Store) Dump() StoreDump {
-	d := StoreDump{Schema: StoreSchema, ByReason: map[string]uint64{}}
-	if s == nil {
-		return d
-	}
-	traces := s.Traces()
-	s.mu.Lock()
-	d.Capacity = s.capacity
-	d.Seen = s.seen
-	d.Retained = s.retained
-	d.Evicted = s.evicted
-	for k, v := range s.byReason {
-		d.ByReason[k] = v
-	}
-	s.mu.Unlock()
-	d.Traces = make([]RetainedTrace, len(traces))
-	for i, rt := range traces {
-		d.Traces[i] = *rt
-		d.Traces[i].tracer = nil
-	}
-	return d
-}
-
 // Validate checks the dump's structural invariants: schema string,
-// retained ≥ len(traces), strictly decreasing sequence numbers
-// (newest first), every trace carrying a reason the byReason index
-// also counts, and non-negative measurements.
+// len(traces) ≤ capacity and ≤ retained, strictly decreasing sequence
+// numbers (newest first), every trace carrying a reason the byReason
+// index also counts, and non-negative measurements.
 func (d StoreDump) Validate() error {
 	if d.Schema != StoreSchema {
 		return fmt.Errorf("trace: store dump schema %q, want %q", d.Schema, StoreSchema)
 	}
 	if d.Capacity <= 0 {
 		return fmt.Errorf("trace: store dump capacity %d not positive", d.Capacity)
+	}
+	if len(d.Traces) > d.Capacity {
+		return fmt.Errorf("trace: store dump holds %d traces, over its capacity %d", len(d.Traces), d.Capacity)
 	}
 	if uint64(len(d.Traces)) > d.Retained {
 		return fmt.Errorf("trace: store dump holds %d traces but reports only %d retained", len(d.Traces), d.Retained)

@@ -1,176 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"sync"
-	"testing"
-	"time"
-)
-
-// recordedTracer builds a small completed trace with nSpans control-lane
-// task spans.
-func recordedTracer(t *testing.T, nSpans int) *Tracer {
-	t.Helper()
-	tr := New()
-	l := tr.Lane(ControlLane, "control")
-	for i := 0; i < nSpans; i++ {
-		l.Begin(fmt.Sprintf("task%d", i), CatTask)
-		l.End()
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-func retained(req string) RetainedTrace {
-	return RetainedTrace{
-		RequestID:   req,
-		Tenant:      "acme",
-		Outcome:     "error",
-		Reason:      ReasonError,
-		Start:       time.Unix(1700000000, 0),
-		WallSeconds: 0.25,
-		Workers:     2,
-		Efficiency:  0.5,
-		Spans:       3,
-	}
-}
-
-func TestStoreRingRetention(t *testing.T) {
-	s := NewStore(3)
-	if got := s.Capacity(); got != 3 {
-		t.Fatalf("capacity %d, want 3", got)
-	}
-	var seqs []uint64
-	for i := 0; i < 5; i++ {
-		s.NoteSeen()
-		seqs = append(seqs, s.Add(retained(fmt.Sprintf("r%d", i)), recordedTracer(t, 2)))
-	}
-	// Sequence numbers are monotonic and never reused.
-	for i, seq := range seqs {
-		if seq != uint64(i+1) {
-			t.Fatalf("seq[%d] = %d, want %d", i, seq, i+1)
-		}
-	}
-	// The ring keeps the newest 3, newest first.
-	traces := s.Traces()
-	if len(traces) != 3 {
-		t.Fatalf("retained %d traces, want 3", len(traces))
-	}
-	for i, want := range []uint64{5, 4, 3} {
-		if traces[i].Seq != want {
-			t.Errorf("traces[%d].Seq = %d, want %d", i, traces[i].Seq, want)
-		}
-	}
-	// Evicted traces are unreachable; live ones resolve by seq.
-	if s.Get(1) != nil {
-		t.Error("evicted trace still reachable")
-	}
-	if got := s.Get(4); got == nil || got.RequestID != "r3" {
-		t.Errorf("Get(4) = %+v, want requestId r3", got)
-	}
-
-	d := s.Dump()
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Seen != 5 || d.Retained != 5 || d.Evicted != 2 {
-		t.Errorf("seen/retained/evicted = %d/%d/%d, want 5/5/2", d.Seen, d.Retained, d.Evicted)
-	}
-	if d.ByReason[ReasonError] != 5 {
-		t.Errorf("byReason[error] = %d, want 5", d.ByReason[ReasonError])
-	}
-
-	// The dump round-trips through JSON and the validator entry point.
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateStoreJSON(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStoreChromeExport(t *testing.T) {
-	s := NewStore(2)
-	tr := recordedTracer(t, 3)
-	tr.SetRequestID("req-chrome")
-	seq := s.Add(retained("req-chrome"), tr)
-	var buf bytes.Buffer
-	if err := s.Get(seq).WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChrome(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("req-chrome")) {
-		t.Error("chrome export lost the request ID")
-	}
-	// A trace retained without spans refuses the export rather than
-	// writing an invalid file.
-	if err := (&RetainedTrace{}).WriteChrome(&buf); err == nil {
-		t.Error("spanless retained trace exported")
-	}
-}
-
-func TestStoreNilSafe(t *testing.T) {
-	var s *Store
-	s.NoteSeen()
-	if seq := s.Add(retained("r"), nil); seq != 0 {
-		t.Errorf("nil store assigned seq %d", seq)
-	}
-	if s.Get(1) != nil || s.Traces() != nil || s.Capacity() != 0 {
-		t.Error("nil store returned data")
-	}
-	if err := s.Dump().Validate(); err == nil {
-		t.Error("nil store dump validated (schema is set but capacity is 0)")
-	}
-}
-
-// TestStoreConcurrentAddDump races writers against readers: the
-// tail-sampler admit/evict path (Add + NoteSeen) against /debug/traces
-// scrapes (Dump, Traces, Get). Run with -race.
-func TestStoreConcurrentAddDump(t *testing.T) {
-	s := NewStore(8)
-	const writers, perWriter = 4, 50
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				s.NoteSeen()
-				s.Add(retained(fmt.Sprintf("w%d-%d", w, i)), nil)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			d := s.Dump()
-			if err := d.Validate(); err != nil {
-				t.Errorf("mid-write dump invalid: %v", err)
-				return
-			}
-			s.Get(uint64(i))
-		}
-	}()
-	wg.Wait()
-	d := s.Dump()
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Retained != writers*perWriter {
-		t.Errorf("retained %d, want %d", d.Retained, writers*perWriter)
-	}
-	if len(d.Traces) != 8 {
-		t.Errorf("ring holds %d, want 8", len(d.Traces))
-	}
-}
+import "testing"
 
 func TestValidateStoreJSONRejectsGarbage(t *testing.T) {
 	if err := ValidateStoreJSON([]byte("not json")); err == nil {
