@@ -49,7 +49,7 @@ func CharPolyParallelProfile(a *Matrix, pool *sched.Pool, pr mp.Profile) *poly.P
 func mulParallel(x, y *Matrix, pool *sched.Pool, pr mp.Profile) *Matrix {
 	n := x.n
 	z := NewMatrix(n)
-	pool.ParallelForTagged("charpoly", n, 1, func(i int) {
+	pool.ParallelForTagged("charpoly", n, func(i int) {
 		var t mp.Int
 		for j := 0; j < n; j++ {
 			acc := z.a[i*n+j]

@@ -40,9 +40,6 @@ type Options struct {
 	// SequentialPrecompute forces the remainder-sequence stage to run
 	// sequentially even when Workers > 1 — the paper's run-time option.
 	SequentialPrecompute bool
-	// Grain batches coefficient tasks in the remainder stage; ≤ 0 means
-	// one coefficient per task.
-	Grain int
 	// Profile selects the big-integer arithmetic algorithms for this run:
 	// mp.Schoolbook (the zero value) is the paper's quadratic cost model,
 	// mp.Fast enables the subquadratic kernels. The profile is carried on
@@ -108,7 +105,7 @@ type Options struct {
 
 // Stats reports timing and scheduling details of a run.
 type Stats struct {
-	Precompute time.Duration // remainder-sequence stage
+	Precompute time.Duration // remainder-sequence stage, every attempt
 	TreeSolve  time.Duration // tree polynomials + all interval problems
 	Total      time.Duration
 	Tasks      int64 // tasks executed by the scheduler (parallel runs)
@@ -164,86 +161,54 @@ var (
 
 // FindRoots computes µ-approximations to all distinct real roots of p,
 // which must be a non-constant integer polynomial all of whose roots
-// are real. Repeated roots are handled by reducing to the squarefree
-// part (the preprocessing counterpart of the paper's §2.3 extension).
+// are real. No squarefree check precedes the pipeline: the remainder
+// sequence of p and p′ is the computation of gcd(p, p′), so it is the
+// test. Only when it finds repeated roots (remseq.ErrNotSquarefree)
+// does the solve reduce p to its squarefree part and run the pipeline
+// on that — the preprocessing counterpart of the paper's §2.3
+// extension. The attempt that found the repeated roots stays part of
+// the solve: its arithmetic counts against MaxBitOps and its time is
+// in Stats.Precompute.
 //
 // When the run is cut short (ErrCanceled, ErrDeadline,
 // ErrBudgetExceeded, or an isolated task panic — see IsResilience),
 // the returned Result is non-nil with no Roots but with the partial
 // Stats gathered up to the interruption.
 func FindRoots(p *poly.Poly, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if p.IsZero() {
-		return nil, errors.New("core: zero polynomial")
-	}
-	if p.Degree() < 1 {
-		return nil, fmt.Errorf("core: constant polynomial has no roots")
-	}
-	ps := p
-	squarefree := true
-	if !p.IsSquarefreeProfile(opts.Profile) {
-		ps = p.SquarefreePartProfile(opts.Profile)
-		squarefree = false
-	}
-	res, err := findRootsSquarefree(ps, opts)
-	if res != nil {
-		res.Degree = p.Degree()
-		res.Squarefree = squarefree
-		res.Stats.Total = time.Since(start)
-	}
+	res, _, err := solve(p, opts, func(p *poly.Poly) []*poly.Poly {
+		return []*poly.Poly{p.SquarefreePartProfile(opts.Profile)}
+	})
 	return res, err
 }
 
 // FindRootsWithMultiplicity computes every distinct real root of p
-// together with its multiplicity, by solving each factor of p's Yun
-// squarefree decomposition separately and merging. The returned Stats
-// sum the factor solves' stage times and task counts, with Total the
-// wall time of the whole call; when a factor's solve is cut short (see
-// IsResilience) they cover the work done so far.
+// together with its multiplicity. It runs the pipeline on p as
+// FindRoots does; only when the remainder sequence finds repeated roots
+// does it solve each factor of p's Yun squarefree decomposition (each
+// squarefree, so each goes straight to the pipeline) and merge. The
+// returned Stats cover every pipeline run of the call, with Total its
+// wall time; when a run is cut short (see IsResilience) they cover the
+// work done so far.
 func FindRootsWithMultiplicity(p *poly.Poly, opts Options) ([]RootMult, Stats, error) {
-	start := time.Now()
-	var stats Stats
-	if p.Degree() < 1 {
-		return nil, stats, fmt.Errorf("core: polynomial of degree %d has no roots", p.Degree())
+	res, rm, err := solve(p, opts, poly.Yun)
+	if res == nil {
+		return nil, Stats{}, err
 	}
-	factors := poly.Yun(p)
-	var out []RootMult
-	for k, u := range factors {
-		if u.Degree() < 1 {
-			continue
-		}
-		r, err := FindRoots(u, opts)
-		if r != nil {
-			stats.Precompute += r.Stats.Precompute
-			stats.TreeSolve += r.Stats.TreeSolve
-			stats.Tasks += r.Stats.Tasks
-		}
-		if err != nil {
-			stats.Total = time.Since(start)
-			return nil, stats, fmt.Errorf("core: multiplicity-%d factor: %w", k+1, err)
-		}
-		for _, root := range r.Roots {
-			out = append(out, RootMult{Root: root, Mult: k + 1})
-		}
-	}
-	// Merge-sort the factor outputs (each is sorted; factors' root sets
-	// are disjoint).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Root.Cmp(out[j-1].Root) < 0; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	stats.Total = time.Since(start)
-	return out, stats, nil
+	return rm, res.Stats, err
 }
 
-// findRootsSquarefree instruments one squarefree solve: it opens a
-// telemetry run around the pipeline (a no-op when no hub is attached)
-// and closes it with the run's outcome and metrics.
-func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
+// solve is the one body of FindRoots and FindRootsWithMultiplicity: a
+// telemetry run spans the whole call, in which the pipeline runs on p
+// and, only if that finds repeated roots, on each squarefree factor
+// from split (factor k holds the roots of multiplicity k+1).
+func solve(p *poly.Poly, opts Options, split func(*poly.Poly) []*poly.Poly) (*Result, []RootMult, error) {
+	start := time.Now()
+	if err := opts.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if p.Degree() < 1 {
+		return nil, nil, fmt.Errorf("core: polynomial of degree %d has no roots", p.Degree())
+	}
 	workers := opts.Workers
 	if opts.SimulateWorkers > 0 {
 		workers = opts.SimulateWorkers
@@ -263,7 +228,7 @@ func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
 	if counters == nil && (opts.MaxBitOps > 0 || run != nil) {
 		counters = &metrics.Counters{} // budget metering and telemetry need a sink
 	}
-	res, err := findRootsPipeline(p, opts, counters, run, Subscribers(opts.Tracer, run, opts.Observer))
+	res, rm, err := execute(p, opts, counters, run, split)
 	if run != nil {
 		// Summarize sorts every lane's intervals; with always-on
 		// serving-path tracing this runs on every solve, so skip the
@@ -272,13 +237,14 @@ func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
 		if opts.Tracer != nil && opts.Tracer.SpanCount() > 0 {
 			run.Utilization(opts.Tracer.Summarize())
 		}
-		nroots := 0
-		if err == nil && res != nil {
-			nroots = len(res.Roots)
-		}
-		run.Finish(RunOutcome(err), nroots, counters.BitOps(), counters.Snapshot())
+		run.Finish(RunOutcome(err), len(rm), counters.BitOps(), counters.Snapshot())
 	}
-	return res, err
+	if err != nil && !IsResilience(err) {
+		return nil, nil, err
+	}
+	res.Degree = p.Degree()
+	res.Stats.Total = time.Since(start)
+	return res, rm, err
 }
 
 // Subscribers fans a run's stream out to its present sinks; with none
@@ -319,36 +285,51 @@ func emit(obs sched.Observers, kind sched.EventKind, name string) {
 	obs.Observe(sched.Event{Kind: kind, Name: name, Worker: sched.ControlLane})
 }
 
-func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, run *telemetry.Run, obs sched.Observers) (*Result, error) {
-	mctx := metrics.Ctx{C: counters, Profile: opts.Profile}
-	n := p.Degree()
+// A solver holds what every pipeline run of one core call shares: the
+// pool, the stream, the stop poll, and the Stats they add up.
+type solver struct {
+	opts  Options
+	mctx  metrics.Ctx
+	pool  *sched.Pool // nil on sequential runs
+	obs   sched.Observers
+	stop  func() error
+	stats Stats
+	tally taskTally
+}
 
+// execute sets up the call's pool, cancellation, and budget, then runs
+// the pipeline on p and, on remseq.ErrNotSquarefree, on split's factors.
+// The Result it returns carries the Stats even when err is non-nil.
+func execute(p *poly.Poly, opts Options, counters *metrics.Counters, run *telemetry.Run, split func(*poly.Poly) []*poly.Poly) (*Result, []RootMult, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	// stop is the sequential-path checkpoint, polled per remainder
-	// iteration, per tree node, and per interval problem. The parallel
-	// path enforces the same conditions through pool cancellation.
-	stop := Checkpoint(ctx, counters)
-
-	var pool *sched.Pool
+	s := &solver{
+		opts: opts,
+		mctx: metrics.Ctx{C: counters, Profile: opts.Profile},
+		obs:  Subscribers(opts.Tracer, run, opts.Observer),
+		// The sequential-path checkpoint, polled per remainder
+		// iteration, per tree node, and per interval problem. The
+		// parallel path enforces the same conditions through pool
+		// cancellation.
+		stop: Checkpoint(ctx, counters),
+	}
 	switch {
 	case opts.SimulateWorkers > 0:
-		pool = sched.NewSimulatedPool(opts.SimulateWorkers)
+		s.pool = sched.NewSimulatedPool(opts.SimulateWorkers)
 	case opts.Workers > 1:
-		pool = sched.NewPool(opts.Workers)
+		s.pool = sched.NewPool(opts.Workers)
 	}
-	if pool != nil {
+	if pool := s.pool; pool != nil {
 		if run != nil {
 			// Registered before the Close defer so it runs after it
 			// (LIFO): the stats snapshot then covers the full drain.
 			defer func() { run.SchedStats(pool.Stats()) }()
 		}
 		defer pool.Close()
-		if obs != nil {
-			pool.SetObserver(obs)
+		if s.obs != nil {
+			pool.SetObserver(s.obs)
 		}
 		if opts.RequestID != "" {
 			pool.SetLabel(opts.RequestID)
@@ -366,7 +347,7 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 		}()
 	}
 	if counters != nil && opts.MaxBitOps > 0 {
-		cancelPool := pool // nil on sequential runs: stop() polls instead
+		cancelPool := s.pool // nil on sequential runs: stop() polls instead
 		counters.SetBudget(opts.MaxBitOps, func() {
 			run.BudgetExhausted(counters.BitOps())
 			if cancelPool != nil {
@@ -375,104 +356,124 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 		})
 	}
 
-	// partial packages the stats gathered so far with a resilience
-	// error; precondition errors return a nil Result instead.
-	var precompute, treeSolve time.Duration
-	partial := func(err error) (*Result, error) {
-		if !IsResilience(err) {
-			return nil, err
-		}
-		res := &Result{NStar: n, Stats: Stats{Precompute: precompute, TreeSolve: treeSolve}}
-		if pool != nil {
-			res.Stats.Tasks = pool.Executed()
-		}
-		return res, err
+	var rm []RootMult
+	roots, err := s.pipeline(p)
+	for _, r := range roots {
+		rm = append(rm, RootMult{Root: r, Mult: 1})
 	}
+	squarefree := !errors.Is(err, remseq.ErrNotSquarefree)
+	if !squarefree {
+		err = nil
+		for k, u := range split(p) {
+			if u.Degree() < 1 {
+				continue
+			}
+			if roots, err = s.pipeline(u); err != nil {
+				err = fmt.Errorf("core: multiplicity-%d factor: %w", k+1, err)
+				break
+			}
+			for _, r := range roots {
+				rm = append(rm, RootMult{Root: r, Mult: k + 1})
+			}
+		}
+		// Merge-sort the factor outputs (each is sorted; factors' root
+		// sets are disjoint).
+		for i := 1; i < len(rm); i++ {
+			for j := i; j > 0 && rm[j].Root.Cmp(rm[j-1].Root) < 0; j-- {
+				rm[j], rm[j-1] = rm[j-1], rm[j]
+			}
+		}
+	}
+	if err != nil {
+		rm = nil
+	}
+	res := &Result{NStar: len(rm), Squarefree: squarefree, Stats: s.stats}
+	for _, r := range rm {
+		res.Roots = append(res.Roots, r.Root)
+	}
+	if s.pool != nil {
+		res.Stats.Tasks = s.pool.Executed()
+		res.Stats.SimMakespan, res.Stats.SimWork = s.pool.SimStats()
+		res.Stats.TaskKinds.ComputePoly = s.tally.computePoly.Load()
+		res.Stats.TaskKinds.Sort = s.tally.sort.Load()
+		res.Stats.TaskKinds.PreInterval = s.tally.preInterval.Load()
+		res.Stats.TaskKinds.Interval = s.tally.interval.Load()
+	}
+	return res, rm, err
+}
 
-	if err := stop(); err != nil {
-		return partial(err)
+// pipeline runs the paper's two stages on p, adding their times and
+// remainder-task count to s.stats. Its remainder sequence is also the
+// squarefree test: it fails with remseq.ErrNotSquarefree when p has
+// repeated roots.
+func (s *solver) pipeline(p *poly.Poly) ([]dyadic.Dyadic, error) {
+	n := p.Degree()
+	if err := s.stop(); err != nil {
+		return nil, err
 	}
 
 	// Degree-1 short-circuit: nothing to precompute; the one interval
 	// problem is the whole tree stage.
 	if n == 1 {
 		t1 := time.Now()
-		bound := p.RootBound()
-		emit(obs, sched.TaskStart, "interval")
-		s := interval.NewSolver(p, nil, bound, opts.Mu, opts.Method, mctx)
-		roots := s.SolveAll()
-		emit(obs, sched.TaskDone, "interval")
-		return &Result{Roots: roots, NStar: 1, Stats: Stats{TreeSolve: time.Since(t1)}}, nil
+		emit(s.obs, sched.TaskStart, "interval")
+		roots := interval.NewSolver(p, nil, p.RootBound(), s.opts.Mu, s.opts.Method, s.mctx).SolveAll()
+		emit(s.obs, sched.TaskDone, "interval")
+		s.stats.TreeSolve += time.Since(t1)
+		return roots, nil
 	}
 
 	// Stage 1: remainder and quotient sequences.
-	emit(obs, sched.PhaseBegin, "remainder")
+	emit(s.obs, sched.PhaseBegin, "remainder")
 	t0 := time.Now()
-	seqOpts := remseq.Options{Ctx: mctx, Grain: opts.Grain, Stop: stop}
-	if pool != nil && !opts.SequentialPrecompute {
-		seqOpts.Pool = pool
+	seqOpts := remseq.Options{Ctx: s.mctx, Stop: s.stop}
+	var executed int64
+	if s.pool != nil {
+		executed = s.pool.Executed()
+		if !s.opts.SequentialPrecompute {
+			seqOpts.Pool = s.pool
+		}
 	}
 	seq, err := remseq.Compute(p, seqOpts)
 	if err == nil {
 		err = seq.Validate()
 	}
-	precompute = time.Since(t0)
-	emit(obs, sched.PhaseEnd, "remainder")
-	if err != nil {
-		return partial(err)
+	s.stats.Precompute += time.Since(t0)
+	if s.pool != nil {
+		s.stats.TaskKinds.Precompute += s.pool.Executed() - executed
 	}
-
-	var precomputeTasks int64
-	if pool != nil {
-		precomputeTasks = pool.Executed()
+	emit(s.obs, sched.PhaseEnd, "remainder")
+	if err != nil {
+		return nil, err
 	}
 
 	// Stage 2: tree polynomials and interval problems.
-	if err := stop(); err != nil {
-		return partial(err)
+	if err := s.stop(); err != nil {
+		return nil, err
 	}
 	t1 := time.Now()
-	emit(obs, sched.PhaseBegin, "solve")
+	emit(s.obs, sched.PhaseBegin, "solve")
 	root := tree.Build(n)
 	bound := p.RootBound()
-	var tally taskTally
-	if pool == nil {
-		err = solveSequential(seq, root, bound, opts, mctx, obs, stop)
+	if s.pool == nil {
+		err = s.solveSequential(seq, root, bound)
 	} else {
-		err = solveParallel(pool, seq, root, bound, opts, mctx, &tally)
+		err = s.solveParallel(seq, root, bound)
 	}
-	treeSolve = time.Since(t1)
-	emit(obs, sched.PhaseEnd, "solve")
+	s.stats.TreeSolve += time.Since(t1)
+	emit(s.obs, sched.PhaseEnd, "solve")
 	if err != nil {
-		return partial(err)
+		return nil, err
 	}
-	if opts.CheckTree {
+	if s.opts.CheckTree {
 		if err := tree.CheckShape(root, n); err != nil {
 			return nil, err
 		}
 	}
-	treeSolve = time.Since(t1)
-
-	res := &Result{
-		Roots: root.Roots,
-		NStar: n,
-		Stats: Stats{Precompute: precompute, TreeSolve: treeSolve},
+	if len(root.Roots) != n {
+		return nil, fmt.Errorf("core: solved %d roots for degree %d (internal invariant)", len(root.Roots), n)
 	}
-	if pool != nil {
-		res.Stats.Tasks = pool.Executed()
-		res.Stats.SimMakespan, res.Stats.SimWork = pool.SimStats()
-		res.Stats.TaskKinds = TaskKindCounts{
-			Precompute:  precomputeTasks,
-			ComputePoly: tally.computePoly.Load(),
-			Sort:        tally.sort.Load(),
-			PreInterval: tally.preInterval.Load(),
-			Interval:    tally.interval.Load(),
-		}
-	}
-	if len(res.Roots) != n {
-		return nil, fmt.Errorf("core: solved %d roots for degree %d (internal invariant)", len(res.Roots), n)
-	}
-	return res, nil
+	return root.Roots, nil
 }
 
 // mergeRoots merges the two sorted child root slices (the SORT task).
@@ -506,35 +507,35 @@ func mergeRoots(nd *tree.Node) []dyadic.Dyadic {
 // node step is a control-lane task on the stream, tagged like the
 // parallel scheduler's tasks, so sequential and parallel traces
 // aggregate under the same task kinds.
-func solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, mctx metrics.Ctx, obs sched.Observers, stop func() error) error {
+func (s *solver) solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int) error {
 	var werr error
 	root.Walk(func(nd *tree.Node) {
 		if werr != nil {
 			return
 		}
-		if werr = stop(); werr != nil {
+		if werr = s.stop(); werr != nil {
 			return
 		}
-		emit(obs, sched.TaskStart, "computepoly")
-		tree.ComputePoly(seq, mctx, nd)
-		emit(obs, sched.TaskDone, "computepoly")
-		emit(obs, sched.TaskStart, "sort")
+		emit(s.obs, sched.TaskStart, "computepoly")
+		tree.ComputePoly(seq, s.mctx, nd)
+		emit(s.obs, sched.TaskDone, "computepoly")
+		emit(s.obs, sched.TaskStart, "sort")
 		ys := mergeRoots(nd)
-		emit(obs, sched.TaskDone, "sort")
-		emit(obs, sched.TaskStart, "preinterval")
-		s := interval.NewSolver(nd.P, ys, bound, opts.Mu, opts.Method, mctx)
-		for i := 0; i < s.NumPoints(); i++ {
-			s.EvalPoint(i)
+		emit(s.obs, sched.TaskDone, "sort")
+		emit(s.obs, sched.TaskStart, "preinterval")
+		sv := interval.NewSolver(nd.P, ys, bound, s.opts.Mu, s.opts.Method, s.mctx)
+		for i := 0; i < sv.NumPoints(); i++ {
+			sv.EvalPoint(i)
 		}
-		emit(obs, sched.TaskDone, "preinterval")
-		roots := make([]dyadic.Dyadic, s.NumRoots())
+		emit(s.obs, sched.TaskDone, "preinterval")
+		roots := make([]dyadic.Dyadic, sv.NumRoots())
 		for i := range roots {
-			if werr = stop(); werr != nil {
+			if werr = s.stop(); werr != nil {
 				return
 			}
-			emit(obs, sched.TaskStart, "interval")
-			roots[i] = s.SolveInterval(i)
-			emit(obs, sched.TaskDone, "interval")
+			emit(s.obs, sched.TaskStart, "interval")
+			roots[i] = sv.SolveInterval(i)
+			emit(s.obs, sched.TaskDone, "interval")
 		}
 		nd.Roots = roots
 	})
@@ -577,7 +578,8 @@ type nodeState struct {
 // On cancellation or task failure the queue is drained without running
 // (sched.Pool semantics): gates stop firing, Wait still returns, and
 // the pool's first-failure error is reported instead of the roots.
-func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, ctx metrics.Ctx, tally *taskTally) error {
+func (s *solver) solveParallel(seq *remseq.Sequence, root *tree.Node, bound *mp.Int) error {
+	pool, opts, ctx, tally := s.pool, s.opts, s.mctx, &s.tally
 	n := seq.N
 	states := make(map[*tree.Node]*nodeState)
 	done := make(chan struct{})

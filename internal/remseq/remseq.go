@@ -55,9 +55,6 @@ type Options struct {
 	// parallel (§3.1). Nil runs sequentially — the paper's run-time
 	// option for a sequential precomputation stage.
 	Pool *sched.Pool
-	// Grain is the number of coefficient tasks batched per scheduler
-	// task; ≤ 0 means one coefficient per task (finest grain).
-	Grain int
 	// Ctx records the arithmetic in the remainder phase.
 	Ctx metrics.Ctx
 	// Stop, if non-nil, is polled once per sequence iteration; a
@@ -131,7 +128,7 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 			// On a canceled pool some iterations were drained (and a
 			// straggler may still be writing next); abort without
 			// reading the partial row.
-			if err := opts.Pool.ParallelForTagged("precompute", n-i, opts.Grain, body); err != nil {
+			if err := opts.Pool.ParallelForTagged("precompute", n-i, body); err != nil {
 				return nil, err
 			}
 		} else {

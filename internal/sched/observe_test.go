@@ -194,14 +194,14 @@ func TestObserverRetry(t *testing.T) {
 }
 
 // TestObserverParallelForPanic: a ParallelFor body panic is recovered
-// per chunk and reported with worker -1 (the chunk's worker identity is
-// the enclosing task, whose Start/Done still balance).
+// per iteration and reported with worker -1 (the iteration's worker
+// identity is the enclosing task, whose Start/Done still balance).
 func TestObserverParallelForPanic(t *testing.T) {
 	obs := &recordingObserver{}
 	p := NewPool(2)
 	defer p.Close()
 	p.SetObserver(obs)
-	err := p.ParallelForTagged("chunk", 8, 4, func(i int) {
+	err := p.ParallelForTagged("chunk", 8, func(i int) {
 		if i == 5 {
 			panic("body")
 		}

@@ -230,7 +230,7 @@ func TestParallelForReturnsOnCancel(t *testing.T) {
 	cause := errors.New("abort")
 	start := make(chan struct{})
 	var once atomic.Bool
-	err := p.ParallelFor(1000, 1, func(i int) {
+	err := p.ParallelFor(1000, func(i int) {
 		if once.CompareAndSwap(false, true) {
 			close(start)
 			p.Cancel(cause)
@@ -246,7 +246,7 @@ func TestParallelForReturnsOnCancel(t *testing.T) {
 func TestParallelForPanicPropagates(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	err := p.ParallelFor(100, 3, func(i int) {
+	err := p.ParallelFor(100, func(i int) {
 		if i == 41 {
 			panic("iteration failed")
 		}
@@ -262,7 +262,7 @@ func TestParallelForHealthyReturnsNil(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	out := make([]int, 500)
-	if err := p.ParallelFor(len(out), 11, func(i int) { out[i] = i }); err != nil {
+	if err := p.ParallelFor(len(out), func(i int) { out[i] = i }); err != nil {
 		t.Fatalf("ParallelFor = %v", err)
 	}
 	for i, v := range out {

@@ -362,37 +362,27 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 }
 
-// ParallelFor runs f(i) for i in [0, n) on the pool and blocks until all
+// ParallelFor runs f(i) for i in [0, n) on the pool, one iteration
+// per task (the paper's finest granularity), and blocks until all
 // iterations finish or the pool is canceled, in which case it returns
 // the pool's error without waiting for the drained iterations (the
 // caller must not read results produced by f after a non-nil return:
-// a straggler iteration may still be running). Iterations are batched
-// into contiguous chunks of the given grain (grain ≤ 0 means one
-// iteration per task — the paper's finest granularity). It must not be
-// called from inside a task.
-func (p *Pool) ParallelFor(n, grain int, f func(i int)) error {
-	return p.ParallelForTagged(DefaultTag, n, grain, f)
+// a straggler iteration may still be running). It must not be called
+// from inside a task.
+func (p *Pool) ParallelFor(n int, f func(i int)) error {
+	return p.ParallelForTagged(DefaultTag, n, f)
 }
 
-// ParallelForTagged is ParallelFor with a task-kind tag for the chunk
-// tasks' trace spans.
-func (p *Pool) ParallelForTagged(tag string, n, grain int, f func(i int)) error {
+// ParallelForTagged is ParallelFor with a task-kind tag for the
+// iteration tasks' trace spans.
+func (p *Pool) ParallelForTagged(tag string, n int, f func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
-	if grain <= 0 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
 	var remaining atomic.Int64
-	remaining.Store(int64(chunks))
+	remaining.Store(int64(n))
 	done := make(chan struct{})
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
+	for i := 0; i < n; i++ {
 		p.SubmitTagged(tag, func() {
 			// Record a panic before the decrement becomes visible, so a
 			// ParallelFor woken by the final decrement always observes
@@ -409,14 +399,12 @@ func (p *Pool) ParallelForTagged(tag string, n, grain int, f func(i int)) error 
 					close(done)
 				}
 			}()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
+			f(i)
 		})
 	}
 	select {
 	case <-done:
-		// All chunks ran; the pool may still have failed concurrently
+		// All iterations ran; the pool may still have failed concurrently
 		// (e.g. another phase's task), but this loop's results are
 		// complete. Report the failure anyway: callers must stop.
 		return p.Err()

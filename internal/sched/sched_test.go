@@ -95,24 +95,26 @@ func TestParallelFor(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	out := make([]int, 1000)
-	p.ParallelFor(len(out), 7, func(i int) { out[i] = i * i })
+	p.ParallelFor(len(out), func(i int) { out[i] = i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
 	// Zero and negative n are no-ops.
-	p.ParallelFor(0, 1, func(int) { t.Error("called") })
-	p.ParallelFor(-3, 1, func(int) { t.Error("called") })
+	p.ParallelFor(0, func(int) { t.Error("called") })
+	p.ParallelFor(-3, func(int) { t.Error("called") })
 }
 
+// TestParallelForGrainOne: each iteration is its own task.
 func TestParallelForGrainOne(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	var n atomic.Int64
-	p.ParallelFor(64, 0, func(i int) { n.Add(1) })
-	if n.Load() != 64 {
-		t.Fatalf("ran %d iterations", n.Load())
+	p.ParallelFor(64, func(i int) { n.Add(1) })
+	p.Wait()
+	if n.Load() != 64 || p.Executed() != 64 {
+		t.Fatalf("ran %d iterations in %d tasks, want 64 in 64", n.Load(), p.Executed())
 	}
 }
 

@@ -61,7 +61,7 @@ func TestTracedGateAndParallelForTags(t *testing.T) {
 	p := sched.NewPool(2)
 	p.SetObserver(tr)
 	g := sched.NewGateTagged(p, 2, "sort", func() {})
-	_ = p.ParallelForTagged("precompute", 8, 4, func(i int) {})
+	_ = p.ParallelForTagged("precompute", 8, func(i int) {})
 	g.Done()
 	g.Done()
 	p.Wait()
@@ -73,8 +73,8 @@ func TestTracedGateAndParallelForTags(t *testing.T) {
 			byTag[s.Name]++
 		}
 	}
-	if byTag["precompute"] != 2 {
-		t.Errorf("precompute spans = %d, want 2 (8 iterations / grain 4)", byTag["precompute"])
+	if byTag["precompute"] != 8 {
+		t.Errorf("precompute spans = %d, want 8 (one per iteration)", byTag["precompute"])
 	}
 	if byTag["sort"] != 1 {
 		t.Errorf("sort spans = %d, want 1", byTag["sort"])

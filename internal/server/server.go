@@ -330,7 +330,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	reqID := r.Header.Get("X-Request-Id")
 	if err := ValidateRequestID(reqID); err != nil {
-		s.fail(w, start, "", newRequestID(), err)
+		s.refuse(w, start, newRequestID(), err)
 		return
 	}
 	if reqID == "" {
@@ -338,28 +338,28 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-Id", reqID)
 	if r.Method != http.MethodPost {
-		s.fail(w, start, "", reqID, &RequestError{Code: CodeBadRequest, Msg: "use POST"})
+		s.refuse(w, start, reqID, &RequestError{Code: CodeBadRequest, Msg: "use POST"})
 		return
 	}
 	if s.draining.Load() {
-		s.fail(w, start, "", reqID, &RequestError{Code: CodeDraining, Msg: "server is draining"})
+		s.refuse(w, start, reqID, &RequestError{Code: CodeDraining, Msg: "server is draining"})
 		return
 	}
 	s.inflight.RLock()
 	defer s.inflight.RUnlock()
 	if s.draining.Load() { // re-check under the lock: Drain may have won the race
-		s.fail(w, start, "", reqID, &RequestError{Code: CodeDraining, Msg: "server is draining"})
+		s.refuse(w, start, reqID, &RequestError{Code: CodeDraining, Msg: "server is draining"})
 		return
 	}
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		s.fail(w, start, "", reqID, badRequest("reading body: %v", err))
+		s.refuse(w, start, reqID, badRequest("reading body: %v", err))
 		return
 	}
 	req, err := DecodeSolveRequest(body)
 	if err != nil {
-		s.fail(w, start, "", reqID, err)
+		s.refuse(w, start, reqID, err)
 		return
 	}
 	req.RequestID = reqID
@@ -457,12 +457,7 @@ func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 	})
 	tr.SetCacheOutcome(outcome)
 	if err != nil {
-		switch code := AsRequestError(err).Code; code {
-		case CodeOverloaded, CodeQueueFull, CodeDraining:
-			tr.Reject(code)
-		default:
-			tr.Finish(code)
-		}
+		closeRecord(tr, AsRequestError(err).Code)
 		return nil, err
 	}
 	if resp.Metrics != nil {
@@ -670,6 +665,26 @@ func statusFor(code string) int {
 		return http.StatusGatewayTimeout
 	default:
 		return http.StatusInternalServerError
+	}
+}
+
+// refuse answers a request turned away before it was decoded (bad
+// request ID, method or body, or a drain): its tenant is unknown, so it
+// counts as anonymous, and its one record starts and finishes here.
+func (s *Server) refuse(w http.ResponseWriter, start time.Time, reqID string, err error) {
+	re := AsRequestError(err)
+	closeRecord(s.requests.Start(telemetry.RequestInfo{ID: reqID, Kind: "solve"}), re.Code)
+	s.fail(w, start, "", reqID, re)
+}
+
+// closeRecord finishes a failed request's record, as a rejection when
+// admission control refused it.
+func closeRecord(tr *telemetry.ActiveRequest, code string) {
+	switch code {
+	case CodeOverloaded, CodeQueueFull, CodeDraining:
+		tr.Reject(code)
+	default:
+		tr.Finish(code)
 	}
 }
 

@@ -382,3 +382,47 @@ func TestRateLimitedRequestRecorded(t *testing.T) {
 		t.Errorf("row after the refused request = {%v}, want 2 requests / 1 rejection", got)
 	}
 }
+
+// TestRefusedBeforeDecodeRecorded: a request refused before its body is
+// decoded (here a GET and an undecodable POST) still gets one finished
+// record, so the tenant rows count every request the latency histogram
+// observed: Σ rootd_request_seconds_count equals Σ rows' requests.
+func TestRefusedBeforeDecodeRecorded(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	base := hs.URL
+	if st, code := postAs(t, base, `{"poly":`, nil); st != http.StatusBadRequest || code != CodeBadRequest {
+		t.Fatalf("bad JSON: status %d code %q, want 400 %q", st, code, CodeBadRequest)
+	}
+	resp, err := http.Get(base + "/v1/solve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET: status %d, want 400", resp.StatusCode)
+	}
+	if st, code := postAs(t, base, `{"poly":{"coeffs":["-2","0","1"]},"workers":1}`, nil); st != 200 {
+		t.Fatalf("anonymous solve: status %d %s", st, code)
+	}
+
+	var observed int64
+	for _, line := range strings.Split(string(getPath(t, base+"/metrics")), "\n") {
+		if m := sampleLine.FindStringSubmatch(line); m != nil && m[1] == "rootd_request_seconds_count" {
+			n, err := strconv.ParseInt(m[3], 10, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			observed += n
+		}
+	}
+	var rowed int64
+	for _, v := range tenantRows(t, base) {
+		rowed += v.requests
+	}
+	if observed != 3 || rowed != observed {
+		t.Fatalf("Σ rootd_request_seconds_count = %d, Σ rows' requests = %d, want 3 and 3", observed, rowed)
+	}
+	if got := tenantRows(t, base)[telemetry.AnonymousTenant]; got.requests != 3 || got.errors != 2 {
+		t.Errorf("anonymous row = {%v}, want 3 requests / 2 errors", got)
+	}
+}

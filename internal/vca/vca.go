@@ -166,12 +166,14 @@ func FindRoots(p *poly.Poly, mu uint, ctx metrics.Ctx) ([]dyadic.Dyadic, error) 
 	// Negative roots: isolate the positive roots of p(-x) and mirror.
 	neg := negate(ps)
 	for _, iv := range IsolatePositive(neg) {
-		r := refine(neg, neg.Derivative(), iv, mu, ctx)
-		// x is a root of p(-x) at r ⇔ -r is a root of p; the ceiling
-		// approximation of -root is -floor approximation of root, so
-		// recompute on the mirrored bracket rather than negating the
-		// grid value: ỹ(-x) = -(2^-µ·⌊2^µ·x⌋).
-		roots = append(roots, mirror(neg, iv, r, mu, ctx))
+		// x is a root of p(-x) ⇔ -x is a root of p; the ceiling
+		// approximation of -x is minus the floor approximation of x:
+		// x̃(-x) = -(2^-µ·⌊2^µ·x⌋).
+		r, exact := refine(neg, neg.Derivative(), iv, mu, ctx)
+		if !exact {
+			r = r.Sub(dyadic.GridStep(mu)) // ⌊2^µ·x⌋ = ⌈2^µ·x⌉ - 1 off the grid
+		}
+		roots = append(roots, r.Neg())
 	}
 	reverseSlice(roots)
 
@@ -182,7 +184,8 @@ func FindRoots(p *poly.Poly, mu uint, ctx metrics.Ctx) ([]dyadic.Dyadic, error) 
 
 	// Positive roots.
 	for _, iv := range IsolatePositive(ps) {
-		roots = append(roots, refine(ps, dp, iv, mu, ctx))
+		r, _ := refine(ps, dp, iv, mu, ctx)
+		roots = append(roots, r)
 	}
 	return roots, nil
 }
@@ -205,29 +208,18 @@ func reverseSlice(s []dyadic.Dyadic) {
 	}
 }
 
-// mirror computes the µ-approximation of -root given the isolating
-// interval of root in the mirrored polynomial: x̃(-r) = -(⌊2^µ·r⌋·2^-µ),
-// determined exactly with one extra sign test when r lies on the grid.
-func mirror(pneg *poly.Poly, iv Interval, approx dyadic.Dyadic, mu uint, ctx metrics.Ctx) dyadic.Dyadic {
-	// approx = ⌈2^µ r⌉/2^µ. If r is exactly on the grid (p(-approx)=0 …
-	// i.e. pneg(approx)=0), then -r's ceiling is -approx.
-	if pneg.SignAtCtx(ctx, approx.Num(), approx.Scale()) == 0 {
-		return approx.Neg()
-	}
-	// Otherwise ⌊2^µ r⌋ = ⌈2^µ r⌉ - 1 and x̃(-r) = -(approx - 2^-µ).
-	return approx.Sub(dyadic.GridStep(mu)).Neg()
-}
-
-// refine bisects the isolating interval down to the 2^-µ grid. The
-// interval is open: its single root lies strictly inside, and the
-// endpoints may be roots belonging to *neighbouring* cells (deflated
-// bisection points), so endpoint signs are taken one-sidedly via the
-// derivative and a vanishing p(hi) is never mistaken for this cell's
-// root.
-func refine(p, dp *poly.Poly, iv Interval, mu uint, ctx metrics.Ctx) dyadic.Dyadic {
+// refine bisects the isolating interval down to the 2^-µ grid and
+// returns the cell root's ceiling approximation, and whether that grid
+// point is the root itself. The interval is open: its single root lies
+// strictly inside, and the endpoints may be roots belonging to
+// *neighbouring* cells (deflated bisection points), so endpoint signs
+// are taken one-sidedly via the derivative and a vanishing p(hi) is
+// never mistaken for this cell's root.
+func refine(p, dp *poly.Poly, iv Interval, mu uint, ctx metrics.Ctx) (dyadic.Dyadic, bool) {
 	lo, hi := iv.Lo, iv.Hi
 	if lo.Equal(hi) {
-		return lo.CeilGrid(mu) // exact root found during isolation
+		g := lo.CeilGrid(mu) // exact root found during isolation
+		return g, g.Equal(lo)
 	}
 	sl := p.SignAtCtx(ctx, lo.Num(), lo.Scale())
 	if sl == 0 {
@@ -238,7 +230,8 @@ func refine(p, dp *poly.Poly, iv Interval, mu uint, ctx metrics.Ctx) dyadic.Dyad
 		mid := lo.Mid(hi)
 		sm := p.SignAtCtx(ctx, mid.Num(), mid.Scale())
 		if sm == 0 {
-			return mid.CeilGrid(mu)
+			g := mid.CeilGrid(mu)
+			return g, g.Equal(mid)
 		}
 		if sm == sl {
 			lo = mid
@@ -251,11 +244,11 @@ func refine(p, dp *poly.Poly, iv Interval, mu uint, ctx metrics.Ctx) dyadic.Dyad
 		g = g.Add(step)
 	}
 	if g.Cmp(hi) >= 0 {
-		return g
+		return g, false
 	}
 	sg := p.SignAtCtx(ctx, g.Num(), g.Scale())
 	if sg == 0 || sg != sl {
-		return g
+		return g, sg == 0
 	}
-	return g.Add(step)
+	return g.Add(step), false
 }

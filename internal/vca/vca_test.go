@@ -1,6 +1,7 @@
 package vca
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -143,6 +144,22 @@ func TestFindRootsNegativeMirrorCeiling(t *testing.T) {
 }
 
 func TestFindRootsAgreesWithSturm(t *testing.T) {
+	// 16x⁵+396x⁴-164x³-61749x²-366575x at µ=1 (quick.Check input seed
+	// 1448551642525483778, µ byte 0x20): p(-x)'s root in (10, 11) rounds
+	// up to 11, which is the neighbouring root, not this cell's.
+	p := poly.FromInt64s(0, -366575, -61749, -164, 396, 16)
+	a, err := FindRoots(p, 1, noCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sturm.FindRoots(p, 1, noCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("vca = %v, sturm = %v", a, b)
+	}
+
 	f := func(seed int64, muRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		mu := uint(muRaw%16) + 1

@@ -303,7 +303,8 @@ type Result struct {
 	// Precision is the µ actually used.
 	Precision uint
 	// Elapsed is the total wall time; Precompute and TreeSolve split it
-	// into the paper's two stages.
+	// into the paper's two stages. On input with repeated roots they sum
+	// over every pipeline run, the one that found them included.
 	Elapsed, Precompute, TreeSolve time.Duration
 }
 
@@ -311,7 +312,11 @@ type Result struct {
 // given coefficients (ascending degree order: coeffs[i] multiplies x^i),
 // with multiplicities. The polynomial must be non-constant and have
 // only real roots; otherwise ErrNotAllReal (or an input-validation
-// error) is returned.
+// error) is returned. No squarefree check precedes the solve: the
+// remainder sequence of p and p′ computes gcd(p, p′), and only when it
+// finds repeated roots are the factors of p's Yun decomposition solved
+// instead. That first attempt stays part of the solve: its bit
+// operations count against MaxBitOps.
 func FindRoots(coeffs []*big.Int, opts *Options) (*Result, error) {
 	return FindRootsContext(context.Background(), coeffs, opts)
 }
@@ -358,43 +363,24 @@ func findRoots(ctx context.Context, p *poly.Poly, opts *Options) (*Result, error
 	defer cancel()
 	co.Ctx = ctx
 
-	var roots []Root
-	var stats core.Stats
-	var err error
-	if p.IsSquarefree() {
-		var res *core.Result
-		res, err = core.FindRoots(p, co)
-		if res != nil {
-			stats = res.Stats
-			roots = make([]Root, 0, len(res.Roots))
-			for _, r := range res.Roots {
-				roots = append(roots, Root{Value: r.Rat(), Multiplicity: 1})
-			}
-		}
-	} else {
-		var rm []core.RootMult
-		rm, stats, err = core.FindRootsWithMultiplicity(p, co)
-		roots = make([]Root, 0, len(rm))
-		for _, r := range rm {
-			roots = append(roots, Root{Value: r.Root.Rat(), Multiplicity: r.Mult})
-		}
+	rm, stats, err := core.FindRootsWithMultiplicity(p, co)
+	if err != nil && !core.IsResilience(err) {
+		return nil, wrapErr(err)
 	}
-	out := &Result{
+	// An interrupted run reports the stage times it reached, never roots.
+	var roots []Root
+	for _, r := range rm {
+		roots = append(roots, Root{Value: r.Root.Rat(), Multiplicity: r.Mult})
+	}
+	return &Result{
+		Roots:      roots,
 		Degree:     p.Degree(),
+		Distinct:   len(roots),
 		Precision:  co.Mu,
 		Elapsed:    time.Since(start),
 		Precompute: stats.Precompute,
 		TreeSolve:  stats.TreeSolve,
-	}
-	if err != nil {
-		if !core.IsResilience(err) {
-			out = nil
-		}
-		// An interrupted run reports the stage times it reached, never roots.
-		return out, wrapErr(err)
-	}
-	out.Roots, out.Distinct = roots, len(roots)
-	return out, nil
+	}, err
 }
 
 func wrapErr(err error) error {
